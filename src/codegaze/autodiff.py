@@ -5,6 +5,13 @@ builds a tape implicitly through parent links; `backward` walks it once in
 reverse topological order. Gradients accumulate additively, so running
 several graphs over the same parameter leaves sums their gradients
 (used for batching); call `zero_grads` between optimizer steps.
+
+The ops here are generic: elementwise and matrix ops, row gathers, and the
+cross-entropy losses (log-sum-exp, so saturated logits stay finite). A node
+is any `Var` built with parents and a backward closure that passes
+gradients on with `accumulate`; the policy builds its GRU-sequence and
+pointer nodes that way, each with a hand-derived backward over a whole
+sequence.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ def constant(x) -> Var:
     return Var(x)
 
 
-def _accum(var: Var, g: np.ndarray) -> None:
+def accumulate(var: Var, g: np.ndarray) -> None:
+    """Add `g` to `var`'s gradient; the one way a backward closure emits one."""
     if var.grad is None:
         var.grad = np.array(g, dtype=np.float64, copy=True)
     else:
@@ -67,17 +75,17 @@ def matmul(a: Var, b: Var) -> Var:
 
     def bwd(g):
         if av.ndim == 2 and bv.ndim == 2:
-            _accum(a, g @ bv.T)
-            _accum(b, av.T @ g)
+            accumulate(a, g @ bv.T)
+            accumulate(b, av.T @ g)
         elif av.ndim == 2 and bv.ndim == 1:
-            _accum(a, np.outer(g, bv))
-            _accum(b, av.T @ g)
+            accumulate(a, np.outer(g, bv))
+            accumulate(b, av.T @ g)
         elif av.ndim == 1 and bv.ndim == 2:
-            _accum(a, g @ bv.T)
-            _accum(b, np.outer(av, g))
+            accumulate(a, g @ bv.T)
+            accumulate(b, np.outer(av, g))
         else:  # dot product
-            _accum(a, g * bv)
-            _accum(b, g * av)
+            accumulate(a, g * bv)
+            accumulate(b, g * av)
 
     out._backward = bwd
     return out
@@ -95,8 +103,8 @@ def add(a: Var, b: Var) -> Var:
     out = Var(_broadcast_op(a, b, np.add, "add"), parents=(a, b))
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(g, b.value.shape))
+        accumulate(a, _unbroadcast(g, a.value.shape))
+        accumulate(b, _unbroadcast(g, b.value.shape))
 
     out._backward = bwd
     return out
@@ -106,8 +114,8 @@ def sub(a: Var, b: Var) -> Var:
     out = Var(_broadcast_op(a, b, np.subtract, "sub"), parents=(a, b))
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(-g, b.value.shape))
+        accumulate(a, _unbroadcast(g, a.value.shape))
+        accumulate(b, _unbroadcast(-g, b.value.shape))
 
     out._backward = bwd
     return out
@@ -117,8 +125,8 @@ def mul(a: Var, b: Var) -> Var:
     out = Var(_broadcast_op(a, b, np.multiply, "mul"), parents=(a, b))
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.value, a.value.shape))
-        _accum(b, _unbroadcast(g * a.value, b.value.shape))
+        accumulate(a, _unbroadcast(g * b.value, a.value.shape))
+        accumulate(b, _unbroadcast(g * a.value, b.value.shape))
 
     out._backward = bwd
     return out
@@ -126,33 +134,36 @@ def mul(a: Var, b: Var) -> Var:
 
 def scale(a: Var, c: float) -> Var:
     out = Var(a.value * c, parents=(a,))
-    out._backward = lambda g: _accum(a, g * c)
+    out._backward = lambda g: accumulate(a, g * c)
     return out
 
 
 def tanh(a: Var) -> Var:
     y = np.tanh(a.value)
     out = Var(y, parents=(a,))
-    out._backward = lambda g: _accum(a, g * (1.0 - y * y))
+    out._backward = lambda g: accumulate(a, g * (1.0 - y * y))
     return out
 
 
 def sigmoid(a: Var) -> Var:
     y = 1.0 / (1.0 + np.exp(-a.value))
     out = Var(y, parents=(a,))
-    out._backward = lambda g: _accum(a, g * y * (1.0 - y))
+    out._backward = lambda g: accumulate(a, g * y * (1.0 - y))
     return out
 
 
-def row_gather(a: Var, i: int) -> Var:
-    if not 0 <= i < a.value.shape[0]:
-        raise ShapeError(f"row_gather: row {i} out of range for shape {a.value.shape}")
-    out = Var(a.value[i], parents=(a,))
+def row_gather(a: Var, i) -> Var:
+    """Row `i` of `a`, or, for a sequence of indices, those rows stacked in order."""
+    idx = np.asarray(i)
+    bad = idx[(idx < 0) | (idx >= a.value.shape[0])]
+    if bad.size:
+        raise ShapeError(f"row_gather: row {bad.flat[0]} out of range for shape {a.value.shape}")
+    out = Var(a.value[idx], parents=(a,))
 
     def bwd(g):
         full = np.zeros_like(a.value)
-        full[i] = g
-        _accum(a, full)
+        np.add.at(full, idx, g)
+        accumulate(a, full)
 
     out._backward = bwd
     return out
@@ -165,8 +176,8 @@ def concat_rows(mat: Var, vec: Var) -> Var:
     out = Var(np.concatenate([mat.value, vec.value[None, :]], axis=0), parents=(mat, vec))
 
     def bwd(g):
-        _accum(mat, g[:-1])
-        _accum(vec, g[-1])
+        accumulate(mat, g[:-1])
+        accumulate(vec, g[-1])
 
     out._backward = bwd
     return out
@@ -177,7 +188,7 @@ def stack_rows(rows: list[Var]) -> Var:
 
     def bwd(g):
         for j, r in enumerate(rows):
-            _accum(r, g[j])
+            accumulate(r, g[j])
 
     out._backward = bwd
     return out
@@ -189,22 +200,44 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return z / z.sum()
 
 
+def _cross_entropy_rows(x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row -log softmax(x)[target] by log-sum-exp, and the gradient rows."""
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=1, keepdims=True)
+    rows = np.arange(x.shape[0])
+    losses = (np.log(s) + m)[:, 0] - x[rows, targets]
+    d = e / s
+    d[rows, targets] -= 1.0
+    return losses, d
+
+
 def softmax_cross_entropy(logits: Var, target_index: int, sample_weight: float = 1.0) -> Var:
     if logits.value.ndim != 1:
         raise ShapeError(f"softmax_cross_entropy: logits must be 1-D, got shape {logits.value.shape}")
     n = logits.value.shape[0]
     if not 0 <= target_index < n:
         raise ShapeError(f"softmax_cross_entropy: target {target_index} out of range for {n} slots")
-    p = softmax(logits.value)
-    loss = -sample_weight * math.log(p[target_index])
-    out = Var(loss, parents=(logits,))
+    losses, d = _cross_entropy_rows(logits.value[None, :], np.array([target_index]))
+    out = Var(sample_weight * losses[0], parents=(logits,))
+    out._backward = lambda g: accumulate(logits, g * sample_weight * d[0])
+    return out
 
-    def bwd(g):
-        d = p.copy()
-        d[target_index] -= 1.0
-        _accum(logits, g * sample_weight * d)
 
-    out._backward = bwd
+def softmax_cross_entropy_rows(logits: Var, targets) -> Var:
+    """Sum over rows r of -log softmax(logits[r])[targets[r]], as one node."""
+    if logits.value.ndim != 2:
+        raise ShapeError("softmax_cross_entropy_rows: logits must be 2-D, "
+                         f"got shape {logits.value.shape}")
+    rows, n = logits.value.shape
+    t = np.asarray(targets, dtype=np.int64)
+    if t.shape != (rows,):
+        raise ShapeError(f"softmax_cross_entropy_rows: {t.size} targets for {rows} rows")
+    if ((t < 0) | (t >= n)).any():
+        raise ShapeError(f"softmax_cross_entropy_rows: target out of range for {n} slots")
+    losses, d = _cross_entropy_rows(logits.value, t)
+    out = Var(losses.sum(), parents=(logits,))
+    out._backward = lambda g: accumulate(logits, g * d)
     return out
 
 
@@ -227,7 +260,7 @@ def backward(loss: Var) -> None:
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    _accum(loss, np.float64(1.0))
+    accumulate(loss, np.float64(1.0))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

@@ -19,9 +19,9 @@ import numpy as np
 from . import autodiff as ad
 from . import policy, synth, training
 from .features import FeatureSpec
-from .gaze import (EmptyTrajectoryError, LayoutSpec, augment, build_trajectory,
-                   load_layout, read_fixations_csv, read_trajectories_jsonl,
-                   write_trajectories_jsonl)
+from .gaze import (EmptyTrajectoryError, LayoutSpec, StepRangeError, augment,
+                   build_trajectory, load_layout, read_fixations_csv,
+                   read_trajectories_jsonl, write_trajectories_jsonl)
 from .lexer import LabelKind, LexError, TaskLabel, attach_labels, load_corpus, load_labels
 from .training import CheckpointError
 
@@ -280,8 +280,8 @@ def gradcheck_problem(seed: int = 0):
         p.value = p.value * 6.0
 
     def loss_fn(p):
-        logits_list, task_logits = policy.forward_teacher(features, steps, p, bc.task_mode)
-        return policy.bc_loss(logits_list, steps, task_logits, 1, bc.w_att, bc.w_aux)
+        logits, task_logits = policy.forward_teacher(features, steps, p, bc.task_mode)
+        return policy.bc_loss(logits, steps, task_logits, 1, bc.w_att, bc.w_aux)
 
     return loss_fn, params
 
@@ -335,8 +335,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError,) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (LexError, EmptyTrajectoryError, CheckpointError, FileNotFoundError,
-            KeyError) as e:
+    except (LexError, EmptyTrajectoryError, StepRangeError, CheckpointError,
+            FileNotFoundError, KeyError) as e:
         msg = e.args[0] if e.args else e
         print(f"error: {msg}", file=sys.stderr)
         return 2

@@ -24,6 +24,10 @@ class EmptyTrajectoryError(ValueError):
     """Raised when no usable steps survive filtering and mapping."""
 
 
+class StepRangeError(IndexError):
+    """Raised when a trajectory step is not a token index of its snippet."""
+
+
 @dataclass
 class Fixation:
     t_ms: float
@@ -88,6 +92,14 @@ def merge_consecutive(steps: list[int]) -> list[int]:
     return out
 
 
+def check_steps(traj: Trajectory, snippet: Snippet) -> None:
+    n = len(snippet.tokens)
+    for s in traj.steps:
+        if not 0 <= s < n:
+            raise StepRangeError(f"trajectory for snippet {traj.snippet_id!r}: "
+                                 f"step {s} out of range for {n} tokens")
+
+
 def build_trajectory(fixations: list[Fixation], layout: LayoutSpec, snippet: Snippet,
                      min_dur_ms: float = 50.0, radius_px: float = 30.0) -> Trajectory:
     """Filter short fixations, map to tokens, merge repeats."""
@@ -110,10 +122,13 @@ def augment(traj: Trajectory, snippet: Snippet, sigma_tokens: float, m: int,
 
     Each copy resamples every step from same-line tokens within index
     distance ceil(2*sigma), p ~ exp(-d^2 / (2 sigma^2)). The m copies split
-    half the total weight in proportion to their joint sampling probability.
+    half the total weight in proportion to their joint sampling probability,
+    computed from summed log-probabilities so long trajectories cannot
+    underflow it.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
+    check_steps(traj, snippet)
     if m == 0:
         return [replace(traj, steps=list(traj.steps), weight=1.0)]
     if sigma_tokens <= 0:
@@ -123,33 +138,42 @@ def augment(traj: Trajectory, snippet: Snippet, sigma_tokens: float, m: int,
     n = len(snippet.tokens)
 
     # Candidate sets and kernel probabilities are step-dependent but fixed
-    # across copies; precompute per distinct step.
-    cand_cache: dict[int, tuple[list[int], np.ndarray]] = {}
-    for s in set(traj.steps):
+    # across copies; one table row per distinct step, padded to the window.
+    # A padded cdf entry of inf is never <= a uniform draw, so counting the
+    # entries <= u is searchsorted(cdf, u, side="right"), which is how
+    # numpy's `choice` turns one draw into an index.
+    distinct = sorted(set(traj.steps))
+    width = 2 * window + 1
+    cands = np.zeros((len(distinct), width), dtype=np.int64)
+    log_p = np.zeros((len(distinct), width))
+    cdf = np.full((len(distinct), width), np.inf)
+    for row, s in enumerate(distinct):
         line = snippet.tokens[s].line
-        cands = [i for i in range(max(0, s - window), min(n, s + window + 1))
-                 if snippet.tokens[i].line == line]
-        d = np.array([i - s for i in cands], dtype=np.float64)
+        cs = [i for i in range(max(0, s - window), min(n, s + window + 1))
+              if snippet.tokens[i].line == line]
+        d = np.array([i - s for i in cs], dtype=np.float64)
         w = np.exp(-(d * d) / (2.0 * sigma_tokens ** 2))
-        cand_cache[s] = (cands, w / w.sum())
+        p = w / w.sum()
+        c = p.cumsum()
+        cands[row, :len(cs)] = cs
+        with np.errstate(divide="ignore"):  # a zero-probability slot is never drawn
+            log_p[row, :len(cs)] = np.log(p)
+        cdf[row, :len(cs)] = c / c[-1]
+    rows = np.searchsorted(distinct, traj.steps)
 
     copies: list[list[int]] = []
-    joints: list[float] = []
-    for _ in range(m):
-        steps = []
-        joint = 1.0
-        for s in traj.steps:
-            cands, p = cand_cache[s]
-            k = rng.choice(len(cands), p=p)
-            steps.append(cands[k])
-            joint *= float(p[k])
-        copies.append(merge_consecutive(steps))
-        joints.append(joint)
+    log_joints = np.empty(m)
+    for i in range(m):
+        u = rng.random(len(rows))
+        k = np.count_nonzero(cdf[rows] <= u[:, None], axis=1)
+        copies.append(merge_consecutive(cands[rows, k].tolist()))
+        log_joints[i] = log_p[rows, k].sum()
 
-    total = sum(joints)
+    joints = np.exp(log_joints - log_joints.max())
+    weights = 0.5 * joints / joints.sum()
     out = [replace(traj, steps=list(traj.steps), weight=0.5)]
-    for steps, joint in zip(copies, joints):
-        out.append(replace(traj, steps=steps, weight=0.5 * joint / total))
+    for steps, weight in zip(copies, weights.tolist()):
+        out.append(replace(traj, steps=steps, weight=weight))
     return out
 
 

@@ -1,10 +1,13 @@
 """Behavioral-cloning training loop, evaluation metrics, and checkpoints.
 
 Trajectories of different lengths are processed sequentially within a
-minibatch with summed gradients (one Adam step per batch). Everything is
-seeded, so (data, config, seed) fully determine the checkpoint bytes.
-Checkpoint floats are serialized as shortest-round-trip decimal strings,
-which preserves all 64 bits.
+minibatch with summed gradients (one Adam step per batch). Each
+trajectory's teacher-forced graph is a handful of fused tape nodes (see
+`policy`); evaluation builds the same graph without a backward pass, and
+`predict` rolls out on the checkpoint's arrays without building one.
+Everything is seeded, so (data, config, seed) fully determine the
+checkpoint bytes. Checkpoint floats are serialized as shortest-round-trip
+decimal strings, which preserves all 64 bits.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from . import autodiff as ad
 from . import policy
 from .autodiff import Var
 from .features import FeatureSpec, Vocab, assign_vocab_ids, build_vocab, featurize, load_embedding_table
-from .gaze import Trajectory
+from .gaze import Trajectory, check_steps
 from .lexer import LabelKind, Snippet
 
 FORMAT_VERSION = 1
@@ -99,10 +102,10 @@ def _run_pass(trajectories, feats, cfg, params, train_mode, adam_state=None):
         ad.zero_grads(params)
     for traj in trajectories:
         features = feats[traj.snippet_id]
-        logits_list, task_logits = policy.forward_teacher(
+        logits, task_logits = policy.forward_teacher(
             features, traj.steps, params, cfg.task_mode)
         label = _task_value(traj, cfg.task_mode)
-        loss = policy.bc_loss(logits_list, traj.steps, task_logits, label,
+        loss = policy.bc_loss(logits, traj.steps, task_logits, label,
                               cfg.w_att, cfg.w_aux, traj.weight)
         if train_mode:
             ad.backward(loss)
@@ -112,12 +115,9 @@ def _run_pass(trajectories, feats, cfg, params, train_mode, adam_state=None):
                 in_batch = 0
         total_loss += float(loss.value)
         total_weight += traj.weight
-        n_slots = features.shape[0] + 1
-        targets = list(traj.steps) + [n_slots - 1]
-        for logits, tgt in zip(logits_list, targets):
-            if int(np.argmax(logits.value)) == tgt:
-                hits += 1
-            targets_seen += 1
+        targets = list(traj.steps) + [features.shape[0]]
+        hits += int(np.count_nonzero(np.argmax(logits.value, axis=1) == targets))
+        targets_seen += len(targets)
         if task_logits is not None and label is not None:
             task_seen += 1
             if int(np.argmax(task_logits.value)) == label:
@@ -130,15 +130,20 @@ def _run_pass(trajectories, feats, cfg, params, train_mode, adam_state=None):
                    mean_loss=total_loss / total_weight)
 
 
+def _check_trajectories(trajectories: list[Trajectory], snippets: dict[str, Snippet]) -> None:
+    for traj in trajectories:
+        if traj.snippet_id not in snippets:
+            raise KeyError(f"trajectory references unknown snippet {traj.snippet_id!r}")
+        check_steps(traj, snippets[traj.snippet_id])
+
+
 def train(trajectories: list[Trajectory], snippets: dict[str, Snippet],
           cfg: policy.BCConfig, feature_spec: FeatureSpec | None = None,
           min_count: int = 1) -> Checkpoint:
     """Fit the policy to weighted expert trajectories; vocab comes from `snippets`."""
     if not trajectories:
         raise ValueError("empty dataset")
-    for traj in trajectories:
-        if traj.snippet_id not in snippets:
-            raise KeyError(f"trajectory references unknown snippet {traj.snippet_id!r}")
+    _check_trajectories(trajectories, snippets)
     if feature_spec is None:
         feature_spec = FeatureSpec(mode="onehot_pos")
     vocab = build_vocab(list(snippets.values()), min_count=min_count)
@@ -166,19 +171,17 @@ def evaluate(ckpt: Checkpoint, trajectories: list[Trajectory],
     """Teacher-forced metrics on a dataset; never mutates the checkpoint."""
     if not trajectories:
         raise ValueError("cannot evaluate on an empty trajectory set")
-    for traj in trajectories:
-        if traj.snippet_id not in snippets:
-            raise KeyError(f"trajectory references unknown snippet {traj.snippet_id!r}")
+    _check_trajectories(trajectories, snippets)
     feats = _feature_cache(snippets, ckpt.feature_spec, ckpt.vocab)
-    params = {k: Var(np.array(v, copy=True)) for k, v in ckpt.params.items()}
+    # Wrapping without a copy is safe: nothing here runs backward or Adam.
+    params = {k: Var(v) for k, v in ckpt.params.items()}
     return _run_pass(trajectories, feats, ckpt.config, params, False)
 
 
 def predict(ckpt: Checkpoint, snippet: Snippet, max_steps: int = 256):
     """Greedy rollout of a checkpointed policy on one snippet."""
     feats = _feature_cache({snippet.id: snippet}, ckpt.feature_spec, ckpt.vocab)
-    params = {k: Var(np.array(v, copy=True)) for k, v in ckpt.params.items()}
-    return policy.rollout(feats[snippet.id], params, max_steps, ckpt.config.task_mode)
+    return policy.rollout(feats[snippet.id], ckpt.params, max_steps, ckpt.config.task_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +205,16 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
         f.write("\n")
 
 
+def _dataclass_from_obj(cls, obj: dict, what: str, path):
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise CheckpointError(f"checkpoint {path}: unknown {what} keys {unknown}")
+    try:
+        return cls(**obj)
+    except ValueError as e:
+        raise CheckpointError(f"checkpoint {path}: invalid {what}: {e}") from e
+
+
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
     with open(path, encoding="utf-8") as f:
         try:
@@ -223,7 +236,7 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
                 f"for shape {list(shape)}")
         params[name] = data.reshape(shape)
     vocab = Vocab(ids=dict(obj["vocab"]["ids"]), min_count=obj["vocab"]["min_count"])
-    cfg = policy.BCConfig(**obj["config"])
-    spec = FeatureSpec(**obj["feature_spec"])
+    cfg = _dataclass_from_obj(policy.BCConfig, obj["config"], "config", path)
+    spec = _dataclass_from_obj(FeatureSpec, obj["feature_spec"], "feature_spec", path)
     return Checkpoint(config=cfg, vocab=vocab, feature_spec=spec, params=params,
                       epoch_log=obj.get("epoch_log", []))

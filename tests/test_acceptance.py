@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. The imitation runs train
-real models and together take a few minutes on one CPU core.
+Run with `pytest tests/test_acceptance.py -v -s`. The imitation runs
+(criteria 3-5) train real models and are marked `slow`; `-m "not slow"`
+skips them.
 """
 
 import math
@@ -94,6 +95,7 @@ def test_criterion_2_fixation_mapping_oracle():
            mismatches == 0 and elapsed < 10)
 
 
+@pytest.mark.slow
 def test_criterion_3_linear_reader_imitation(corpus):
     gen, snippets, train_ids, held_ids = corpus
     demos = {sid: synth.linear_reader(snippets[sid]) for sid in snippets}
@@ -106,6 +108,7 @@ def test_criterion_3_linear_reader_imitation(corpus):
            held.action_accuracy >= 0.95 and elapsed < 300)
 
 
+@pytest.mark.slow
 def test_criterion_4_keyword_skimmer_imitation(corpus):
     gen, snippets, train_ids, held_ids = corpus
     salient = gen.keyword_set()
@@ -123,6 +126,7 @@ def test_criterion_4_keyword_skimmer_imitation(corpus):
               f">= 0.80 and >= 5x chance ({chance:.3f}) in {elapsed:.0f}s", ok)
 
 
+@pytest.mark.slow
 def test_criterion_5_auxiliary_task_effect(bugged_corpus):
     gen, snippets, train_ids, held_ids = bugged_corpus
     demos = {sid: synth.bug_seeker(snippets[sid], 2) for sid in snippets}

@@ -156,3 +156,25 @@ def test_bitwise_determinism():
     l2, g2 = run()
     assert l1 == l2
     assert (g1 == g2).all()
+
+
+def test_softmax_cross_entropy_saturated_target():
+    # p(target) = e^-800 underflows to 0; log-sum-exp keeps the loss exact.
+    logits = Var(np.array([0.0, -800.0]))
+    loss = ad.softmax_cross_entropy(logits, 1)
+    assert float(loss.value) == pytest.approx(800.0, rel=1e-12)
+    ad.backward(loss)
+    assert np.isfinite(logits.grad).all()
+    assert logits.grad == pytest.approx([1.0, -1.0])
+
+
+def test_row_gather_index_list_accumulates_repeats():
+    m = Var(np.arange(6, dtype=float).reshape(3, 2))
+    rows = ad.row_gather(m, [2, 0, 2])
+    assert rows.value.tolist() == [[4, 5], [0, 1], [4, 5]]
+    ad.backward(ad.softmax_cross_entropy_rows(rows, [0, 0, 0]))
+    direct = ad.softmax(np.array([4.0, 5.0])) - [1.0, 0.0]
+    assert m.grad[2] == pytest.approx(2 * direct)
+    assert m.grad[1] == pytest.approx([0.0, 0.0])
+    with pytest.raises(ShapeError):
+        ad.row_gather(m, [0, 3])

@@ -150,3 +150,54 @@ def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "codegaze.cli"],
                           capture_output=True, text=True)
     assert proc.returncode == 1  # no subcommand -> usage error
+
+
+def write_bad_steps(root: Path) -> Path:
+    """Demos whose first trajectory points one past its snippet's last token."""
+    rows = [json.loads(l) for l in (root / "demos.jsonl").read_text().splitlines()]
+    tokens = json.loads((root / "tokens.jsonl").read_text().splitlines()[0])["tokens"]
+    rows[0]["steps"].append(len(tokens))
+    path = root / "bad.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return path
+
+
+def train_small(root: Path, trajectories: Path) -> int:
+    return run_cli("train", "--corpus-dir", str(root / "corpus"),
+                   "--trajectories", str(trajectories),
+                   "--checkpoint", str(root / "ckpt.json"), "--epochs", "1",
+                   "--d-emb", "4", "--d-hidden", "4", "--d-attn", "4")
+
+
+def test_out_of_range_steps_are_data_errors(tmp_path, capsys):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    corpus = str(tmp_path / "corpus")
+    assert run_cli("tokenize", "--corpus-dir", corpus,
+                   "--out", str(tmp_path / "tokens.jsonl")) == 0
+    bad = write_bad_steps(tmp_path)
+    capsys.readouterr()
+    # the bad trajectory belongs to snip0000, which the hashed split puts in
+    # the training set; eval reads every split
+    assert train_small(tmp_path, bad) == 2
+    assert train_small(tmp_path, tmp_path / "demos.jsonl") == 0
+    assert run_cli("eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+                   "--corpus-dir", corpus, "--trajectories", str(bad)) == 2
+    assert run_cli("augment", "--corpus-dir", corpus, "--trajectories", str(bad),
+                   "--out", str(tmp_path / "aug.jsonl")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith("error: ") and "out of range" in line for line in err)
+
+
+def test_checkpoint_with_unknown_config_key_is_data_error(tmp_path, capsys):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    assert train_small(tmp_path, tmp_path / "demos.jsonl") == 0
+    ckpt = tmp_path / "ckpt.json"
+    obj = json.loads(ckpt.read_text())
+    obj["config"]["dropout"] = 0.5
+    ckpt.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli("rollout", "--checkpoint", str(ckpt),
+                   "--corpus-dir", str(tmp_path / "corpus"), "--snippet", "snip0003") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "unknown config keys ['dropout']" in err[0]

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codegaze.gaze import (EmptyTrajectoryError, Fixation, LayoutSpec, Trajectory,
-                           augment, build_trajectory, map_fixation,
-                           read_fixations_csv, read_trajectories_jsonl, token_box,
-                           write_trajectories_jsonl)
+from codegaze import synth
+from codegaze.gaze import (EmptyTrajectoryError, Fixation, LayoutSpec, StepRangeError,
+                           Trajectory, augment, build_trajectory, map_fixation,
+                           merge_consecutive, read_fixations_csv,
+                           read_trajectories_jsonl, token_box, write_trajectories_jsonl)
 from codegaze.lexer import tokenize
 
 LAYOUT = LayoutSpec(origin_x_px=20, origin_y_px=20, char_width_px=9,
@@ -157,6 +160,72 @@ def test_augment_rejects_bad_sigma():
     sn = sample_snippet()
     with pytest.raises(ValueError):
         augment(Trajectory(sn.id, [0]), sn, sigma_tokens=0.0, m=2, seed=0)
+
+
+def test_augment_rejects_out_of_range_steps():
+    sn = sample_snippet()
+    for bad in (len(sn.tokens), -1):
+        with pytest.raises(StepRangeError, match="out of range"):
+            augment(Trajectory(sn.id, [0, bad]), sn, sigma_tokens=1.0, m=2, seed=0)
+
+
+def reference_augment(traj, snippet, sigma, m, seed):
+    """Per-step `rng.choice` and a product of probabilities, for short trajectories."""
+    rng = np.random.default_rng(seed)
+    window = math.ceil(2 * sigma)
+    n = len(snippet.tokens)
+    copies, joints = [], []
+    for _ in range(m):
+        steps, joint = [], 1.0
+        for s in traj.steps:
+            line = snippet.tokens[s].line
+            cands = [i for i in range(max(0, s - window), min(n, s + window + 1))
+                     if snippet.tokens[i].line == line]
+            d = np.array([i - s for i in cands], dtype=np.float64)
+            w = np.exp(-(d * d) / (2.0 * sigma ** 2))
+            p = w / w.sum()
+            k = rng.choice(len(cands), p=p)
+            steps.append(cands[k])
+            joint *= float(p[k])
+        copies.append(merge_consecutive(steps))
+        joints.append(joint)
+    return copies, [0.5 * j / sum(joints) for j in joints]
+
+
+def test_augment_matches_choice_reference():
+    gen = synth.GeneratorConfig(seed=5, n_snippets=40)
+    for index in range(40):
+        sn = synth.gen_snippet(gen, index)
+        traj = synth.linear_reader(sn)
+        for sigma in (0.5, 1.0, 2.5):
+            out = augment(traj, sn, sigma, 4, seed=index)
+            copies, weights = reference_augment(traj, sn, sigma, 4, seed=index)
+            assert [t.steps for t in out[1:]] == copies
+            assert [t.weight for t in out[1:]] == pytest.approx(weights, rel=1e-12, abs=1e-300)
+
+
+@pytest.fixture(scope="module")
+def long_snippet():
+    # 120 lines of 721 tokens: a full read's joint probability underflows a float
+    return synth.gen_snippet(synth.GeneratorConfig(seed=3, lines_min=120, lines_max=120), 0)
+
+
+def test_augment_full_read_of_long_snippet(long_snippet):
+    traj = synth.linear_reader(long_snippet)
+    out = augment(traj, long_snippet, 1.0, 4, seed=0)
+    assert len(traj.steps) == 721
+    assert abs(sum(t.weight for t in out) - 1.0) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(length=st.integers(1, 2000), seed=st.integers(0, 2 ** 32 - 1),
+       sigma=st.floats(0.2, 4.0), m=st.integers(1, 8))
+def test_augment_weights_sum_to_one_at_any_length(long_snippet, length, seed, sigma, m):
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(0, len(long_snippet.tokens), size=length).tolist()
+    out = augment(Trajectory(long_snippet.id, steps), long_snippet, sigma, m, seed)
+    assert len(out) == m + 1
+    assert abs(math.fsum(t.weight for t in out) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

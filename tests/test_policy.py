@@ -105,8 +105,7 @@ def test_forward_teacher_emits_k_plus_one():
     feats = rng.standard_normal((8, 6))
     params = policy.init_params(6, SMALL)
     logits, task = policy.forward_teacher(feats, [2, 5, 1], params, "none")
-    assert len(logits) == 4
-    assert all(l.value.shape == (9,) for l in logits)
+    assert logits.value.shape == (4, 9)  # K+1 distributions over n+1 slots
     assert task is None
 
 
@@ -207,3 +206,97 @@ def test_argmax_invariant_to_logit_shift():
     logits = rng.standard_normal(12)
     assert np.argmax(logits) == np.argmax(logits + 57.0)
     assert ad.softmax(logits) == pytest.approx(ad.softmax(logits + 57.0), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Fused nodes: each alone, then the whole teacher-forced pass per task head
+
+
+def scaled_params(d_feat, cfg, factor=6.0):
+    """Seeded parameters scaled up, away from the tiny-gradient init regime."""
+    params = policy.init_params(d_feat, cfg)
+    for p in params.values():
+        p.value = p.value * factor
+    return params
+
+
+@pytest.mark.parametrize("T", [1, 5])
+def test_gru_sequence_grad_check(T):
+    rng = np.random.default_rng(12)
+    params = {k: v for k, v in scaled_params(3, SMALL).items() if k.startswith("dec_")}
+    params["X"] = Var(rng.standard_normal((T, SMALL.d_emb)) * 2.0)
+    params["h0"] = Var(rng.standard_normal(SMALL.d_hidden))
+    targets = rng.integers(0, SMALL.d_hidden, size=T)
+
+    def loss_fn(p):
+        states = policy.gru_sequence(p, "dec", p["X"], p["h0"])
+        return ad.softmax_cross_entropy_rows(ad.scale(states, 3.0), targets)
+
+    assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
+
+
+def test_gru_sequence_rows_match_step_by_step_cell():
+    rng = np.random.default_rng(13)
+    params = policy.init_params(3, SMALL)
+    X = rng.standard_normal((4, SMALL.d_emb))
+    states = policy.gru_sequence(params, "enc", Var(X)).value
+    pv = {k: v.value for k, v in params.items()}
+    h = np.zeros(SMALL.d_hidden)
+    for t, x in enumerate(policy.project_inputs(pv, "enc", X)):
+        h = policy.gru_step(pv, "enc", x, h)[0]
+        assert (states[t] == h).all()
+
+
+def test_pointer_attention_grad_check():
+    rng = np.random.default_rng(14)
+    base = scaled_params(3, SMALL)
+    params = {"W2": base["W2"], "v": base["v"],
+              "P": Var(rng.standard_normal((6, SMALL.d_attn))),
+              "D": Var(rng.standard_normal((4, SMALL.d_hidden)) * 2.0)}
+    targets = rng.integers(0, 6, size=4)
+
+    def loss_fn(p):
+        return ad.softmax_cross_entropy_rows(
+            policy.pointer_attention(p["P"], p["D"], p), targets)
+
+    assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
+
+
+def test_softmax_cross_entropy_rows_grad_check_and_value():
+    rng = np.random.default_rng(15)
+    params = {"L": Var(rng.standard_normal((4, 7)) * 3.0)}
+    targets = [6, 0, 3, 3]
+    assert ad.grad_check(lambda p: ad.softmax_cross_entropy_rows(p["L"], targets),
+                         params, eps=1e-5) <= 1e-4
+    rows = sum(float(ad.softmax_cross_entropy(Var(params["L"].value[r]), t).value)
+               for r, t in enumerate(targets))
+    assert float(ad.softmax_cross_entropy_rows(params["L"], targets).value) == \
+        pytest.approx(rows, rel=1e-12)
+
+
+def test_full_policy_grad_check_localize_head():
+    rng = np.random.default_rng(16)
+    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, task_mode="localize")
+    feats = rng.standard_normal((6, 5)) * 4.0
+    params = scaled_params(5, cfg)
+    steps = [1, 4, 1]  # a repeated step sends two gradients into one embedding row
+
+    def loss_fn(p):
+        logits, task = policy.forward_teacher(feats, steps, p, "localize")
+        return policy.bc_loss(logits, steps, task, 3, 1.0, 1.0)
+
+    assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
+
+
+def test_teacher_forcing_on_rollout_reproduces_it():
+    # The tape-free rollout and the fused teacher-forced pass share one cell
+    # and one pointer-score function, so feeding a rollout's own steps back
+    # must make every argmax pick the same step, then stop.
+    rng = np.random.default_rng(17)
+    cfg = BCConfig(d_emb=6, d_hidden=6, d_attn=6, seed=39)  # a seed whose rollout stops
+    feats = rng.standard_normal((9, 5)) * 3.0
+    params = scaled_params(5, cfg)
+    steps, _ = policy.rollout(feats, params, max_steps=30)
+    assert len(set(steps)) >= 3 and len(steps) < 30
+    logits, _ = policy.forward_teacher(feats, steps, params)
+    assert list(np.argmax(logits.value, axis=1)) == steps + [9]
