@@ -10,7 +10,7 @@ feature matrix the policy consumes.
 
 import numpy as np
 
-from codegaze.features import FeatureSpec, assign_vocab_ids, build_vocab, featurize
+from codegaze.features import FeatureSpec, build_vocab, featurize
 from codegaze.lexer import tokenize
 
 SOURCE = """\
@@ -30,7 +30,6 @@ for i, tok in enumerate(snippet.tokens):
 # Vocabulary is frequency-ordered with a reserved unknown slot at id 0,
 # so held-out snippets with unseen identifiers still featurize.
 vocab = build_vocab([snippet], min_count=1)
-assign_vocab_ids(snippet, vocab)
 print(f"\nvocab size {len(vocab)} (id 0 is the unknown token)")
 print("ids:", {text: vocab.ids[text] for text in list(vocab.ids)[:8]})
 

@@ -2,16 +2,18 @@
 
 Everything is computed in 64-bit floats on numpy arrays. A forward pass
 builds a tape implicitly through parent links; `backward` walks it once in
-reverse topological order. Gradients accumulate additively, so running
-several graphs over the same parameter leaves sums their gradients
-(used for batching); call `zero_grads` between optimizer steps.
+reverse topological order and drops each interior node's gradient as soon
+as that node has passed it on, so only leaves (parameters, constants) keep
+one. Gradients accumulate additively, so running several graphs over the
+same parameter leaves sums their gradients (used for batching); call
+`zero_grads` between optimizer steps.
 
 The ops here are generic: elementwise and matrix ops, row gathers, and the
 cross-entropy losses (log-sum-exp, so saturated logits stay finite). A node
 is any `Var` built with parents and a backward closure that passes
 gradients on with `accumulate`; the policy builds its GRU-sequence and
 pointer nodes that way, each with a hand-derived backward over a whole
-sequence.
+group of sequences.
 """
 
 from __future__ import annotations
@@ -242,7 +244,10 @@ def softmax_cross_entropy_rows(logits: Var, targets) -> Var:
 
 
 def backward(loss: Var) -> None:
-    """Backpropagate from a scalar loss through the recorded graph."""
+    """Backpropagate from a scalar loss through the recorded graph.
+
+    Afterwards only leaf Vars (those without parents) hold a gradient.
+    """
     if loss.value.ndim != 0:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
     order = []
@@ -264,6 +269,8 @@ def backward(loss: Var) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            node.grad = None
 
 
 def zero_grads(params: dict[str, Var]) -> None:

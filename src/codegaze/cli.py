@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -261,7 +262,9 @@ def cmd_rollout(cfg: dict) -> int:
 
 
 def gradcheck_problem(seed: int = 0):
-    """Full-policy gradient-check instance: n=12 tokens, K=5 steps, 3 classes.
+    """Full-policy gradient-check instance: one lockstep group of two
+    trajectories (n=12 tokens with K=5 steps, n=9 with K=3) and 3 classes,
+    so the check covers the padding of the shorter one.
 
     The probe point uses parameters ~6x the training init scale and amplified
     features: at the training init, many true gradient entries sit below the
@@ -270,18 +273,20 @@ def gradcheck_problem(seed: int = 0):
     probe point.
     """
     rng = np.random.default_rng(seed)
-    n_tokens, n_steps, d_feat = 12, 5, 20
+    shapes, labels, d_feat = [(12, 5), (9, 3)], [1, 2], 20
     bc = policy.BCConfig(w_att=1.0, w_aux=1.0, d_emb=8, d_hidden=8, d_attn=8,
                          seed=seed, task_mode="classify", n_classes=3)
-    features = rng.standard_normal((n_tokens, d_feat)) * 4.0
-    steps = [int(s) for s in rng.integers(0, n_tokens, size=n_steps)]
+    features = [rng.standard_normal((n, d_feat)) * 4.0 for n, _ in shapes]
+    steps = [[int(s) for s in rng.integers(0, n, size=k)] for n, k in shapes]
     params = policy.init_params(d_feat, bc)
     for p in params.values():
         p.value = p.value * 6.0
 
     def loss_fn(p):
-        logits, task_logits = policy.forward_teacher(features, steps, p, bc.task_mode)
-        return policy.bc_loss(logits, steps, task_logits, 1, bc.w_att, bc.w_aux)
+        outputs = policy.forward_teacher(features, steps, p, bc.task_mode)
+        return reduce(ad.add, [
+            policy.bc_loss(logits, s, task_logits, label, bc.w_att, bc.w_aux)
+            for (logits, task_logits), s, label in zip(outputs, steps, labels)])
 
     return loss_fn, params
 
@@ -336,8 +341,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (LexError, EmptyTrajectoryError, StepRangeError, CheckpointError,
-            FileNotFoundError, KeyError) as e:
-        msg = e.args[0] if e.args else e
+            policy.EmptySequenceError, FileNotFoundError, KeyError) as e:
+        # str() of a KeyError quotes its message; a FileNotFoundError's
+        # first argument is only the errno, so it prints whole.
+        msg = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: {msg}", file=sys.stderr)
         return 2
     except ValueError as e:

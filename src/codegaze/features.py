@@ -70,11 +70,6 @@ def build_vocab(snippets: list[Snippet], min_count: int = 1) -> Vocab:
     return vocab
 
 
-def assign_vocab_ids(snippet: Snippet, vocab: Vocab) -> None:
-    for tok in snippet.tokens:
-        tok.vocab_id = vocab.lookup(tok.text)
-
-
 def fnv1a64(data: bytes) -> int:
     h = FNV_OFFSET
     for b in data:
@@ -113,14 +108,14 @@ def featurize(snippet: Snippet, spec: FeatureSpec, vocab: Vocab,
     if spec.mode == "onehot":
         out = np.zeros((n, len(vocab)))
         for i, tok in enumerate(snippet.tokens):
-            out[i, tok.vocab_id] = 1.0
+            out[i, vocab.lookup(tok.text)] = 1.0
         return out
     if spec.mode == "onehot_pos":
         out = np.zeros((n, len(vocab) + 2))
         n_lines = max(snippet.n_lines, 1)
         max_cols = max((tok.col_end for tok in snippet.tokens), default=1)
         for i, tok in enumerate(snippet.tokens):
-            out[i, tok.vocab_id] = 1.0
+            out[i, vocab.lookup(tok.text)] = 1.0
             out[i, -2] = tok.line / n_lines
             out[i, -1] = tok.col_start / max_cols
         return out

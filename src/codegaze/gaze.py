@@ -93,6 +93,9 @@ def merge_consecutive(steps: list[int]) -> list[int]:
 
 
 def check_steps(traj: Trajectory, snippet: Snippet) -> None:
+    """Rejects an empty trajectory or a step that is not a token of the snippet."""
+    if not traj.steps:
+        raise EmptyTrajectoryError(f"trajectory for snippet {traj.snippet_id!r} has no steps")
     n = len(snippet.tokens)
     for s in traj.steps:
         if not 0 <= s < n:

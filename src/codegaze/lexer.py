@@ -47,7 +47,6 @@ class Token:
     line: int
     col_start: int
     col_end: int  # exclusive
-    vocab_id: int = 0
 
 
 @dataclass

@@ -9,13 +9,16 @@ location (a second pointer over the tokens).
 
 One plain-numpy GRU cell (`gru_step`) and one pointer-score function
 (`pointer_scores`) do all the arithmetic. Training runs them inside two
-fused tape nodes, `gru_sequence` over every row of an input matrix and
-`pointer_attention` over every decoder step, whose backward passes are
-derived by hand (backpropagation through time over the cached gates).
-Teacher forcing knows every decoder input in advance, so a whole
-trajectory is about a dozen tape nodes. Greedy `rollout` and
-`decode_step` call the same two functions on plain arrays and build no
-tape.
+fused tape nodes, `gru_sequence` and `pointer_attention`, whose backward
+passes are derived by hand (backpropagation through time over the cached
+gates). Teacher forcing knows every decoder input in advance, so
+`forward_teacher` runs a whole group of trajectories in lockstep: each GRU
+steps every sequence of the group at once, one (B x d) matmul per step,
+with the shorter sequences padded at the end. The pointer attention and
+the loss stay per trajectory, and the pointer node recomputes its keys and
+tanh in its backward instead of keeping them. Greedy `rollout` and
+`decode_step` call the same cell and score function on plain arrays and
+build no tape.
 """
 
 from __future__ import annotations
@@ -102,14 +105,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def gru_step(p: dict[str, np.ndarray], prefix: str, x: np.ndarray, h: np.ndarray):
     """One GRU step on plain arrays; returns (h', z, r, candidate).
 
-    `x` is the step's input already projected by `project_inputs`,
+    `h` is one state (H) or one row per sequence (B x H), and `x` the
+    step's input for each, already projected by `project_inputs`:
     [x Wz + bz | x Wr + br | x Wh + bh], so only the recurrent products
     are left per step.
     """
-    n = h.shape[0]
-    z = _sigmoid(x[:n] + h @ p[prefix + "_Uz"])
-    r = _sigmoid(x[n:2 * n] + h @ p[prefix + "_Ur"])
-    c = np.tanh(x[2 * n:] + (r * h) @ p[prefix + "_Uh"])
+    n = h.shape[-1]
+    z = _sigmoid(x[..., :n] + h @ p[prefix + "_Uz"])
+    r = _sigmoid(x[..., n:2 * n] + h @ p[prefix + "_Ur"])
+    c = np.tanh(x[..., 2 * n:] + (r * h) @ p[prefix + "_Uh"])
     # h' = (1 - z) * h + z * c, written as h + z * (c - h)
     return h + z * (c - h), z, r, c
 
@@ -122,32 +126,48 @@ def project_inputs(p: dict[str, np.ndarray], prefix: str, X: np.ndarray) -> np.n
 
 
 def _gru_run(p: dict[str, np.ndarray], prefix: str, X: np.ndarray, h0: np.ndarray):
-    """States (h0 first, T+1 rows) and gates (z, r, candidate) of a GRU over X's rows."""
-    A = project_inputs(p, prefix, X)
-    T, d_hid = A.shape[0], h0.shape[0]
-    Hs = np.empty((T + 1, d_hid))
-    Z, R, C = np.empty((3, T, d_hid))
+    """States (h0 first, T+1 of them) and gates (z, r, candidate) of a GRU over X.
+
+    `h0` is one start state (H), or B of them (B x H) with X's rows
+    time-major: row t*B + b is step t of sequence b.
+    """
+    d_hid = h0.shape[-1]
+    A = project_inputs(p, prefix, X).reshape((-1,) + h0.shape[:-1] + (3 * d_hid,))
+    T = A.shape[0]
+    Hs = np.empty((T + 1,) + h0.shape)
+    Z, R, C = np.empty((3, T) + h0.shape)
     Hs[0] = h0
     for t in range(T):
         Hs[t + 1], Z[t], R[t], C[t] = gru_step(p, prefix, A[t], Hs[t])
     return Hs, Z, R, C
 
 
-def gru_sequence(p: dict[str, Var], prefix: str, X: Var, h0: Var | None = None) -> Var:
-    """GRU over every row of X from state h0 (zeros if None): one node, T x H states.
+def gru_sequence(p: dict[str, Var], prefix: str, X: Var, h0: Var | None = None,
+                 batch: int = 1) -> Var:
+    """GRU over B sequences in lockstep as one node: (T*B) x H states.
+
+    Rows are time-major: row t*B + b of X is step t of sequence b, and the
+    same row of the output is that sequence's state after it. `h0` holds the
+    B start states (B x H, or H for one sequence); if None they are zeros
+    and B is `batch`. A sequence shorter than T is padded at the end with
+    any rows: the GRU is causal, so padding never changes a sequence's real
+    states, and padded rows get exactly zero gradient when no loss reads
+    them.
 
     The backward is backpropagation through time over the cached gates, so
-    each weight gradient is one (T x d)^T (T x d) product.
+    each weight gradient is one (T*B x d)^T (T*B x d) product.
     """
     names = [f"{prefix}_{m}{g}" for m in "WUb" for g in "zrh"]
     pv = {k: p[k].value for k in names}
-    T, d_hid = X.value.shape[0], pv[prefix + "_Uz"].shape[0]
-    Hs, Z, R, C = _gru_run(pv, prefix, X.value,
-                           np.zeros(d_hid) if h0 is None else h0.value)
+    d_hid = pv[prefix + "_Uz"].shape[0]
+    start = np.zeros((batch, d_hid)) if h0 is None else h0.value.reshape(-1, d_hid)
+    Hs, Z, R, C = _gru_run(pv, prefix, X.value, start)
+    T, B = Z.shape[:2]
     parents = (X,) + tuple(p[k] for k in names) + (() if h0 is None else (h0,))
-    out = Var(Hs[1:], parents=parents)
+    out = Var(Hs[1:].reshape(T * B, d_hid), parents=parents)
 
     def bwd(G):
+        G = G.reshape(T, B, d_hid)
         Hp = Hs[:-1]
         # Per-step factors that do not depend on the carried gradient.
         to_c = Z * (1.0 - C * C)                 # dh -> d(candidate pre-activation)
@@ -156,18 +176,21 @@ def gru_sequence(p: dict[str, Var], prefix: str, X: Var, h0: Var | None = None) 
         keep = 1.0 - Z
         Uh_T = pv[prefix + "_Uh"].T
         Uzr_T = np.concatenate([pv[prefix + "_Uz"], pv[prefix + "_Ur"]], axis=1).T
-        dA = np.empty((T, 3 * d_hid))
-        dh = np.zeros(d_hid)
+        dA = np.empty((T, B, 3 * d_hid))
+        dh = np.zeros((B, d_hid))
         for t in range(T - 1, -1, -1):
             dh = dh + G[t]
-            dc = np.multiply(dh, to_c[t], out=dA[t, 2 * d_hid:])
+            dc = np.multiply(dh, to_c[t], out=dA[t, :, 2 * d_hid:])
             dq = dc @ Uh_T
-            np.multiply(dh, to_z[t], out=dA[t, :d_hid])
-            np.multiply(dq, to_r[t], out=dA[t, d_hid:2 * d_hid])
-            dh = dh * keep[t] + dq * R[t] + dA[t, :2 * d_hid] @ Uzr_T
+            np.multiply(dh, to_z[t], out=dA[t, :, :d_hid])
+            np.multiply(dq, to_r[t], out=dA[t, :, d_hid:2 * d_hid])
+            dh = dh * keep[t] + dq * R[t] + dA[t, :, :2 * d_hid] @ Uzr_T
+        dA = dA.reshape(T * B, 3 * d_hid)
+        Hp = Hp.reshape(T * B, d_hid)
         dW, db = X.value.T @ dA, dA.sum(axis=0)
         dU = Hp.T @ dA[:, :2 * d_hid]
-        dU = [dU[:, :d_hid], dU[:, d_hid:], (R * Hp).T @ dA[:, 2 * d_hid:]]
+        dU = [dU[:, :d_hid], dU[:, d_hid:],
+              (R.reshape(T * B, d_hid) * Hp).T @ dA[:, 2 * d_hid:]]
         for k, (g, dUg) in enumerate(zip("zrh", dU)):
             cols = slice(k * d_hid, (k + 1) * d_hid)
             ad.accumulate(p[f"{prefix}_W{g}"], dW[:, cols])
@@ -176,20 +199,36 @@ def gru_sequence(p: dict[str, Var], prefix: str, X: Var, h0: Var | None = None) 
         W = np.concatenate([pv[f"{prefix}_W{g}"] for g in "zrh"], axis=1)
         ad.accumulate(X, dA @ W.T)
         if h0 is not None:
-            ad.accumulate(h0, dh)
+            ad.accumulate(h0, dh.reshape(h0.value.shape))
 
     out._backward = bwd
     return out
 
 
-def encode(features: np.ndarray, p: dict[str, Var]) -> tuple[Var, Var, Var]:
-    """Returns (E, h_n, X): encoder states, final state, token embeddings."""
-    n = features.shape[0]
-    if n == 0:
-        raise ValueError("cannot encode an empty token sequence")
-    X = ad.matmul(ad.constant(features), p["W_in"])
-    E = gru_sequence(p, "enc", X)
-    return E, ad.row_gather(E, n - 1), X
+class EmptySequenceError(ValueError):
+    """Raised when a snippet with no tokens is encoded."""
+
+
+def encode(features: list[np.ndarray], p: dict[str, Var]) -> tuple[Var, Var, Var]:
+    """Encodes a group of token-feature matrices in lockstep.
+
+    Returns (E, h_n, X): the time-major encoder states (row t*B + b is
+    token t of sequence b; rows past a sequence's end are padding), the
+    B x H final states, and every sequence's embeddings, concatenated
+    unpadded, with x_start appended as the last row.
+    """
+    ns = [f.shape[0] for f in features]
+    if min(ns) == 0:
+        raise EmptySequenceError("cannot encode an empty token sequence")
+    B, pad = len(features), sum(ns)
+    X = ad.concat_rows(ad.matmul(ad.constant(np.concatenate(features)), p["W_in"]),
+                       p["x_start"])
+    # Padding rows read x_start (row `pad`); any row would do.
+    rows = np.full((max(ns), B), pad)
+    for b, offset in enumerate(np.cumsum([0] + ns[:-1])):
+        rows[:ns[b], b] = offset + np.arange(ns[b])
+    E = gru_sequence(p, "enc", ad.row_gather(X, rows.reshape(-1)), batch=B)
+    return E, ad.row_gather(E, (np.array(ns) - 1) * B + np.arange(B)), X
 
 
 def pointer_scores(P: np.ndarray, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,72 +237,123 @@ def pointer_scores(P: np.ndarray, q: np.ndarray, v: np.ndarray) -> tuple[np.ndar
     `q` is one query d W2 (shape A) or a stack of them (T x A), giving
     scores of shape (J,) or (T x J).
     """
-    act = np.tanh(P + q[..., None, :])
+    act = P + q[..., None, :]
+    np.tanh(act, out=act)
     return act @ v, act
 
 
-def pointer_attention(P: Var, D: Var, p: dict[str, Var], score_vec: str = "v") -> Var:
-    """Pointer logits of every decoder state (rows of D) over every key (rows of P)."""
-    W2, v = p["W2"], p[score_vec]
-    scores, act = pointer_scores(P.value, D.value @ W2.value, v.value)
-    out = Var(scores, parents=(P, D, W2, v))
+# Elements (steps x keys x d_attn) of the tanh block `pointer_attention`
+# holds at a time, forward and backward.
+POINTER_BLOCK = 1 << 18
+
+
+def _pointer_keys(pv: dict[str, np.ndarray], E: np.ndarray, with_stop: bool = True) -> np.ndarray:
+    """Keys [E; e_stop] W1 + b_a, the stop slot last (E W1 + b_a without it)."""
+    keys = np.concatenate([E, pv["e_stop"][None, :]]) if with_stop else E
+    return keys @ pv["W1"] + pv["b_a"]
+
+
+def pointer_attention(E: Var, D: Var, p: dict[str, Var], score_vec: str = "v",
+                      with_stop: bool = True) -> Var:
+    """Pointer logits of every decoder state (rows of D) over the keys built
+    from the encoder states (rows of E) and, with_stop, the stop slot.
+
+    One node that keeps neither the keys nor the tanh: both passes walk
+    blocks of decoder steps whose tanh stays within POINTER_BLOCK elements,
+    and the backward recomputes the keys and each block's tanh.
+    """
+    names = ("W1", "b_a", "W2", score_vec) + (("e_stop",) if with_stop else ())
+    pv = {k: p[k].value for k in names}
+    v = pv[score_vec]
+    T, J = D.value.shape[0], E.value.shape[0] + int(with_stop)
+
+    def blocks():
+        """(step slice, its scores, its tanh) for each block of decoder steps."""
+        P, Q = _pointer_keys(pv, E.value, with_stop), D.value @ pv["W2"]
+        rows = max(1, POINTER_BLOCK // P.size)
+        for s in range(0, T, rows):
+            blk = slice(s, s + rows)
+            yield (blk,) + pointer_scores(P, Q[blk], v)
+
+    scores = np.empty((T, J))
+    for blk, u, _ in blocks():
+        scores[blk] = u
+    out = Var(scores, parents=(E, D) + tuple(p[k] for k in names))
 
     def bwd(g):
-        pre = act * act                          # d(pre-activation) = g v (1 - act^2)
-        np.subtract(1.0, pre, out=pre)
-        pre *= g[:, :, None]
-        pre *= v.value
-        dq = pre.sum(axis=1)
-        ad.accumulate(P, pre.sum(axis=0))
-        ad.accumulate(D, dq @ W2.value.T)
-        ad.accumulate(W2, D.value.T @ dq)
-        ad.accumulate(v, np.tensordot(g, act, axes=([0, 1], [0, 1])))
+        # d(pre-activation)[t, j] = g[t, j] v (1 - act[t, j]^2). Its sums over
+        # keys (for the queries) and over steps (for the keys) split into
+        # g's row and column sums minus two matmuls with act^2.
+        gq, gk, dv = np.empty((T, v.size)), np.zeros((J, v.size)), np.zeros_like(v)
+        for blk, _, act in blocks():
+            gb = g[blk]
+            dv += gb.reshape(-1) @ act.reshape(-1, v.size)
+            act *= act
+            gq[blk] = np.matmul(gb[:, None, :], act)[:, 0, :]
+            gk += np.matmul(act.transpose(1, 2, 0), gb.T[:, :, None])[:, :, 0]
+        dQ = (g.sum(axis=1)[:, None] - gq) * v
+        dP = (g.sum(axis=0)[:, None] - gk) * v
+        keys = np.concatenate([E.value, pv["e_stop"][None, :]]) if with_stop else E.value
+        ad.accumulate(p["W1"], keys.T @ dP)
+        ad.accumulate(p["b_a"], dP.sum(axis=0))
+        dkeys = dP @ pv["W1"].T
+        ad.accumulate(E, dkeys[:E.value.shape[0]])
+        if with_stop:
+            ad.accumulate(p["e_stop"], dkeys[-1])
+        ad.accumulate(p["W2"], D.value.T @ dQ)
+        ad.accumulate(D, dQ @ pv["W2"].T)
+        ad.accumulate(p[score_vec], dv)
 
     out._backward = bwd
     return out
 
 
-def attention_keys(E: Var, p: dict[str, Var], with_stop: bool = True) -> Var:
-    keys = ad.concat_rows(E, p["e_stop"]) if with_stop else E
-    return ad.add(ad.matmul(keys, p["W1"]), p["b_a"])
-
-
-def _keys(pv: dict[str, np.ndarray], E: np.ndarray) -> np.ndarray:
-    """Tape-free `attention_keys` with the stop slot as the last row."""
-    return np.concatenate([E, pv["e_stop"][None, :]]) @ pv["W1"] + pv["b_a"]
-
-
 def decode_step(d: Var, E: Var, p: dict[str, Var]) -> np.ndarray:
     """Distribution over n+1 slots (n tokens plus stop) for one decoder state."""
     pv = _arrays(p)
-    logits, _ = pointer_scores(_keys(pv, E.value), d.value @ pv["W2"], pv["v"])
+    logits, _ = pointer_scores(_pointer_keys(pv, E.value), d.value @ pv["W2"], pv["v"])
     return ad.softmax(logits)
 
 
-def forward_teacher(features: np.ndarray, steps: list[int], p: dict[str, Var],
-                    task_mode: str = TASK_NONE) -> tuple[Var, Var | None]:
-    """Teacher-forced pass: the (K+1) x (n+1) pointer logits for targets
-    steps + stop, and the task logits."""
-    if not steps:
-        raise ValueError("trajectory must be non-empty")
-    n = features.shape[0]
-    for s in steps:
-        if not 0 <= s < n:
-            raise IndexError(f"step index {s} out of range for {n} tokens")
+def forward_teacher(features: list[np.ndarray], steps: list[list[int]], p: dict[str, Var],
+                    task_mode: str = TASK_NONE) -> list[tuple[Var, Var | None]]:
+    """Teacher-forced pass over a lockstep group of trajectories.
+
+    `features[b]` and `steps[b]` are trajectory b's token features and
+    expert steps. Both GRUs run the whole group at once; for each
+    trajectory the result holds its (K+1) x (n+1) pointer logits for
+    targets steps + stop, and its task logits.
+    """
+    if not features or len(features) != len(steps):
+        raise ValueError(f"{len(features)} feature matrices for {len(steps)} trajectories")
+    for f, s in zip(features, steps):
+        if not s:
+            raise ValueError("trajectory must be non-empty")
+        for i in s:
+            if not 0 <= i < f.shape[0]:
+                raise IndexError(f"step index {i} out of range for {f.shape[0]} tokens")
     E, h_n, X = encode(features, p)
-    # Decoder inputs are x_start then the expert's tokens, all known up front;
-    # x_start sits in row n of the extended embedding matrix.
-    X_dec = ad.row_gather(ad.concat_rows(X, p["x_start"]), [n, *steps])
-    D = gru_sequence(p, "dec", X_dec, h_n)
-    logits = pointer_attention(attention_keys(E, p, with_stop=True), D, p)
-    task_logits = None
-    if task_mode == TASK_CLASSIFY:
-        task_logits = ad.matmul(ad.row_gather(D, len(steps)), p["W_task"])
-    elif task_mode == TASK_LOCALIZE:
-        loc = pointer_attention(attention_keys(E, p, with_stop=False),
-                                ad.row_gather(D, [len(steps)]), p, "v_loc")
-        task_logits = ad.row_gather(loc, 0)
-    return logits, task_logits
+    # Decoder inputs are x_start then the expert's tokens, all known up
+    # front; x_start is X's last row, which also pads the shorter sequences.
+    B, pad = len(features), X.value.shape[0] - 1
+    ns, Ks = [f.shape[0] for f in features], [len(s) for s in steps]
+    rows = np.full((max(Ks) + 1, B), pad)
+    for b, offset in enumerate(np.cumsum([0] + ns[:-1])):
+        rows[1:Ks[b] + 1, b] = offset + np.asarray(steps[b])
+    D = gru_sequence(p, "dec", ad.row_gather(X, rows.reshape(-1)), h_n)
+    out = []
+    for b, (n, K) in enumerate(zip(ns, Ks)):
+        E_b = ad.row_gather(E, range(b, n * B, B))
+        logits = pointer_attention(E_b, ad.row_gather(D, range(b, (K + 1) * B, B)), p)
+        task_logits = None
+        if task_mode == TASK_CLASSIFY:
+            task_logits = ad.matmul(ad.row_gather(D, K * B + b), p["W_task"])
+        elif task_mode == TASK_LOCALIZE:
+            loc = pointer_attention(E_b, ad.row_gather(D, [K * B + b]), p, "v_loc",
+                                    with_stop=False)
+            task_logits = ad.row_gather(loc, 0)
+        out.append((logits, task_logits))
+    return out
 
 
 def bc_loss(action_logits: Var | list[Var], expert_steps: list[int], task_logits: Var | None,
@@ -300,11 +390,11 @@ def rollout(features: np.ndarray, p: dict, max_steps: int,
         raise ValueError("max_steps must be at least 1")
     n = features.shape[0]
     if n == 0:
-        raise ValueError("cannot encode an empty token sequence")
+        raise EmptySequenceError("cannot encode an empty token sequence")
     pv = _arrays(p)
     X = features @ pv["W_in"]
     E = _gru_run(pv, "enc", X, np.zeros(pv["enc_Uz"].shape[0]))[0][1:]
-    P = _keys(pv, E)
+    P = _pointer_keys(pv, E)
     # Row n holds x_start's projection, and slot n is stop: `a` starts at n
     # and the loop ends before a chosen stop could be fed back.
     A_dec = project_inputs(pv, "dec", np.concatenate([X, pv["x_start"][None, :]]))

@@ -1,10 +1,12 @@
 """Behavioral-cloning training loop, evaluation metrics, and checkpoints.
 
-Trajectories of different lengths are processed sequentially within a
-minibatch with summed gradients (one Adam step per batch). Each
-trajectory's teacher-forced graph is a handful of fused tape nodes (see
-`policy`); evaluation builds the same graph without a backward pass, and
-`predict` rolls out on the checkpoint's arrays without building one.
+Each minibatch is cut, in order, into lockstep groups whose padded size
+stays within ROW_BUDGET rows; a group is one teacher-forced graph (see
+`policy.forward_teacher`) and one backward pass, and the gradients of a
+batch's groups add up to one Adam step. Evaluation builds the same graphs
+without a backward pass, and `predict` rolls out on the checkpoint's
+arrays without building one. Only the snippets the trajectories reference
+are featurized.
 Everything is seeded, so (data, config, seed) fully determine the
 checkpoint bytes. Checkpoint floats are serialized as shortest-round-trip
 decimal strings, which preserves all 64 bits.
@@ -16,18 +18,23 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
+from functools import reduce
 
 import numpy as np
 
 from . import autodiff as ad
 from . import policy
 from .autodiff import Var
-from .features import FeatureSpec, Vocab, assign_vocab_ids, build_vocab, featurize, load_embedding_table
+from .features import FeatureSpec, Vocab, build_vocab, featurize, load_embedding_table
 from .gaze import Trajectory, check_steps
 from .lexer import LabelKind, Snippet
 
 FORMAT_VERSION = 1
 FLOAT_ENCODING = "shortest-roundtrip-decimal"
+
+# Bound on a lockstep group's padded size, max(n, K+1) x group size: the
+# working set of its graph grows with it (see `lockstep_groups`).
+ROW_BUDGET = 256
 
 
 class CheckpointError(ValueError):
@@ -69,21 +76,65 @@ def _task_value(traj: Trajectory, task_mode: str) -> int | None:
     return None
 
 
-def _feature_cache(snippets: dict[str, Snippet], spec: FeatureSpec,
-                   vocab: Vocab) -> dict[str, np.ndarray]:
+def _feature_cache(trajectories: list[Trajectory], snippets: dict[str, Snippet],
+                   spec: FeatureSpec, vocab: Vocab) -> dict[str, np.ndarray]:
+    """Features of the snippets the trajectories reference, by snippet id."""
     table = load_embedding_table(spec.path) if spec.mode == "external" else None
-    cache = {}
-    for sid, snippet in snippets.items():
-        assign_vocab_ids(snippet, vocab)
-        cache[sid] = featurize(snippet, spec, vocab, table)
-    return cache
+    ids = dict.fromkeys(traj.snippet_id for traj in trajectories)
+    return {sid: featurize(snippets[sid], spec, vocab, table) for sid in ids}
+
+
+def lockstep_groups(trajectories: list[Trajectory], feats: dict[str, np.ndarray],
+                    batch: int) -> list[list[list[Trajectory]]]:
+    """Each batch of `batch` trajectories, cut in order into lockstep groups.
+
+    A group takes consecutive trajectories while max(n, K+1) x its size
+    stays within ROW_BUDGET; a longer trajectory forms a group alone.
+    """
+    batches = []
+    for start in range(0, len(trajectories), batch):
+        groups, longest = [[]], 0
+        for traj in trajectories[start:start + batch]:
+            rows = max(feats[traj.snippet_id].shape[0], len(traj.steps) + 1)
+            longest = max(longest, rows)
+            if groups[-1] and longest * (len(groups[-1]) + 1) > ROW_BUDGET:
+                groups.append([])
+                longest = rows
+            groups[-1].append(traj)
+        batches.append(groups)
+    return batches
+
+
+def _run_group(group, feats, cfg, params, train_mode):
+    """Forward pass of one lockstep group, and its backward in train mode.
+
+    Returns (loss, targets, hits, task hit or None) per trajectory as plain
+    numbers, so the group's graph is freed on return.
+    """
+    outputs = policy.forward_teacher([feats[t.snippet_id] for t in group],
+                                     [t.steps for t in group], params, cfg.task_mode)
+    losses, stats = [], []
+    for traj, (logits, task_logits) in zip(group, outputs):
+        label = _task_value(traj, cfg.task_mode)
+        losses.append(policy.bc_loss(logits, traj.steps, task_logits, label,
+                                     cfg.w_att, cfg.w_aux, traj.weight))
+        targets = list(traj.steps) + [logits.value.shape[1] - 1]
+        hits = int(np.count_nonzero(np.argmax(logits.value, axis=1) == targets))
+        task_hit = None
+        if task_logits is not None and label is not None:
+            task_hit = int(np.argmax(task_logits.value)) == label
+        stats.append((float(losses[-1].value), len(targets), hits, task_hit))
+    if train_mode:
+        ad.backward(reduce(ad.add, losses))
+    return stats
 
 
 def _run_pass(trajectories, feats, cfg, params, train_mode, adam_state=None):
-    """One pass over the trajectory list; returns (Metrics, per-epoch stats).
+    """One pass over the trajectory list in the given order; returns Metrics.
 
-    In train mode the list is processed in the given order with one Adam
-    step per batch of cfg.batch trajectories.
+    Each lockstep group is one forward pass (and, in train mode, one
+    backward pass); train mode takes one Adam step per batch of cfg.batch
+    trajectories.
     """
     total_loss = 0.0
     total_weight = 0.0
@@ -91,39 +142,21 @@ def _run_pass(trajectories, feats, cfg, params, train_mode, adam_state=None):
     targets_seen = 0
     task_hits = 0
     task_seen = 0
-
-    def flush(batch_count):
-        if batch_count:
-            ad.adam_step(params, ad.collect_grads(params), adam_state)
-            ad.zero_grads(params)
-
-    in_batch = 0
-    if train_mode:
-        ad.zero_grads(params)
-    for traj in trajectories:
-        features = feats[traj.snippet_id]
-        logits, task_logits = policy.forward_teacher(
-            features, traj.steps, params, cfg.task_mode)
-        label = _task_value(traj, cfg.task_mode)
-        loss = policy.bc_loss(logits, traj.steps, task_logits, label,
-                              cfg.w_att, cfg.w_aux, traj.weight)
+    for groups in lockstep_groups(trajectories, feats, cfg.batch):
         if train_mode:
-            ad.backward(loss)
-            in_batch += 1
-            if in_batch == cfg.batch:
-                flush(in_batch)
-                in_batch = 0
-        total_loss += float(loss.value)
-        total_weight += traj.weight
-        targets = list(traj.steps) + [features.shape[0]]
-        hits += int(np.count_nonzero(np.argmax(logits.value, axis=1) == targets))
-        targets_seen += len(targets)
-        if task_logits is not None and label is not None:
-            task_seen += 1
-            if int(np.argmax(task_logits.value)) == label:
-                task_hits += 1
-    if train_mode:
-        flush(in_batch)
+            ad.zero_grads(params)
+        for group in groups:
+            for traj, (loss, n_targets, n_hits, task_hit) in zip(
+                    group, _run_group(group, feats, cfg, params, train_mode)):
+                total_loss += loss
+                total_weight += traj.weight
+                hits += n_hits
+                targets_seen += n_targets
+                if task_hit is not None:
+                    task_seen += 1
+                    task_hits += task_hit
+        if train_mode:
+            ad.adam_step(params, ad.collect_grads(params), adam_state)
     task_acc = task_hits / task_seen if task_seen else None
     return Metrics(action_accuracy=hits / targets_seen,
                    task_accuracy=task_acc,
@@ -147,7 +180,7 @@ def train(trajectories: list[Trajectory], snippets: dict[str, Snippet],
     if feature_spec is None:
         feature_spec = FeatureSpec(mode="onehot_pos")
     vocab = build_vocab(list(snippets.values()), min_count=min_count)
-    feats = _feature_cache(snippets, feature_spec, vocab)
+    feats = _feature_cache(trajectories, snippets, feature_spec, vocab)
     d_feat = next(iter(feats.values())).shape[1]
 
     params = policy.init_params(d_feat, cfg)
@@ -172,7 +205,7 @@ def evaluate(ckpt: Checkpoint, trajectories: list[Trajectory],
     if not trajectories:
         raise ValueError("cannot evaluate on an empty trajectory set")
     _check_trajectories(trajectories, snippets)
-    feats = _feature_cache(snippets, ckpt.feature_spec, ckpt.vocab)
+    feats = _feature_cache(trajectories, snippets, ckpt.feature_spec, ckpt.vocab)
     # Wrapping without a copy is safe: nothing here runs backward or Adam.
     params = {k: Var(v) for k, v in ckpt.params.items()}
     return _run_pass(trajectories, feats, ckpt.config, params, False)
@@ -180,8 +213,8 @@ def evaluate(ckpt: Checkpoint, trajectories: list[Trajectory],
 
 def predict(ckpt: Checkpoint, snippet: Snippet, max_steps: int = 256):
     """Greedy rollout of a checkpointed policy on one snippet."""
-    feats = _feature_cache({snippet.id: snippet}, ckpt.feature_spec, ckpt.vocab)
-    return policy.rollout(feats[snippet.id], ckpt.params, max_steps, ckpt.config.task_mode)
+    features = featurize(snippet, ckpt.feature_spec, ckpt.vocab)
+    return policy.rollout(features, ckpt.params, max_steps, ckpt.config.task_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -178,3 +178,13 @@ def test_row_gather_index_list_accumulates_repeats():
     assert m.grad[1] == pytest.approx([0.0, 0.0])
     with pytest.raises(ShapeError):
         ad.row_gather(m, [0, 3])
+
+
+def test_backward_frees_interior_gradients():
+    a = Var(np.array([0.5, -1.0]))
+    h = ad.tanh(a)
+    loss = ad.matmul(h, h)
+    ad.backward(loss)
+    assert h.grad is None and loss.grad is None
+    t = np.tanh(a.value)
+    assert a.grad == pytest.approx(2 * t * (1 - t * t), rel=1e-12)

@@ -201,3 +201,37 @@ def test_checkpoint_with_unknown_config_key_is_data_error(tmp_path, capsys):
                    "--corpus-dir", str(tmp_path / "corpus"), "--snippet", "snip0003") == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "unknown config keys ['dropout']" in err[0]
+
+
+def test_missing_file_message_names_the_path(tmp_path, capsys):
+    missing = tmp_path / "no.json"
+    assert run_cli("eval", "--checkpoint", str(missing), "--corpus-dir", str(tmp_path),
+                   "--trajectories", str(tmp_path / "no.jsonl")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
+
+
+def test_empty_trajectory_is_data_error(tmp_path, capsys):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    assert train_small(tmp_path, tmp_path / "demos.jsonl") == 0
+    rows = [json.loads(l) for l in (tmp_path / "demos.jsonl").read_text().splitlines()]
+    rows[0]["steps"] = []  # snip0000, in the training split
+    bad = tmp_path / "empty.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+                   "--corpus-dir", str(tmp_path / "corpus"), "--trajectories", str(bad)) == 2
+    assert train_small(tmp_path, bad) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: trajectory for snippet 'snip0000' has no steps"] * 2
+
+
+def test_rollout_of_empty_snippet_is_data_error(tmp_path, capsys):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    assert train_small(tmp_path, tmp_path / "demos.jsonl") == 0
+    (tmp_path / "corpus" / "snip0000.txt").write_text("")
+    capsys.readouterr()
+    assert run_cli("rollout", "--checkpoint", str(tmp_path / "ckpt.json"),
+                   "--corpus-dir", str(tmp_path / "corpus"), "--snippet", "snip0000") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cannot encode an empty token sequence"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from codegaze.features import (FeatureSpec, assign_vocab_ids, build_vocab,
+from codegaze.features import (FeatureSpec, build_vocab,
                                featurize, fnv1a64, load_embedding_table)
 from codegaze.lexer import tokenize
 
@@ -34,20 +34,18 @@ def test_vocab_requires_snippets():
 def test_onehot_rows():
     snippets = make_snippets("a b c a")
     vocab = build_vocab(snippets, 1)
-    assign_vocab_ids(snippets[0], vocab)
     rows = featurize(snippets[0], FeatureSpec(mode="onehot"), vocab)
     assert rows.shape == (4, len(vocab))
     assert (rows.sum(axis=1) == 1.0).all()
     assert ((rows != 0).sum(axis=1) == 1).all()
     tok = snippets[0].tokens[1]
-    assert rows[1, tok.vocab_id] == 1.0
+    assert rows[1, vocab.lookup(tok.text)] == 1.0
 
 
 def test_onehot_pos_ratios():
     # token at line 2 of 4 lines, col 0 -> positional tail [0.5, 0.0]
     snippets = make_snippets("a\nb\nc\nd")
     vocab = build_vocab(snippets, 1)
-    assign_vocab_ids(snippets[0], vocab)
     rows = featurize(snippets[0], FeatureSpec(mode="onehot_pos"), vocab)
     assert rows.shape[1] == len(vocab) + 2
     assert rows[2, -2:] == pytest.approx([0.5, 0.0])

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -38,35 +39,35 @@ def test_init_within_range_and_seeded():
 
 def test_encode_zero_params_gives_zero_states():
     rng = np.random.default_rng(0)
-    E, h_n, _ = policy.encode(rng.standard_normal((5, 6)), zero_params(6, SMALL))
+    E, h_n, _ = policy.encode([rng.standard_normal((5, 6))], zero_params(6, SMALL))
     assert (E.value == 0).all()
     assert (h_n.value == 0).all()
 
 
 def test_encode_single_token():
     rng = np.random.default_rng(1)
-    E, h_n, _ = policy.encode(rng.standard_normal((1, 6)), policy.init_params(6, SMALL))
+    E, h_n, _ = policy.encode([rng.standard_normal((1, 6))], policy.init_params(6, SMALL))
     assert E.value.shape == (1, SMALL.d_hidden)
-    assert E.value[0] == pytest.approx(h_n.value)
+    assert E.value[0] == pytest.approx(h_n.value[0])
 
 
 def test_encode_rejects_empty():
     with pytest.raises(ValueError):
-        policy.encode(np.zeros((0, 6)), policy.init_params(6, SMALL))
+        policy.encode([np.zeros((0, 6))], policy.init_params(6, SMALL))
 
 
 def test_encode_is_order_sensitive():
     rng = np.random.default_rng(2)
     feats = rng.standard_normal((6, 6))
     params = policy.init_params(6, SMALL)
-    E_fwd, _, _ = policy.encode(feats, params)
-    E_rev, _, _ = policy.encode(feats[::-1].copy(), params)
+    E_fwd, _, _ = policy.encode([feats], params)
+    E_rev, _, _ = policy.encode([feats[::-1].copy()], params)
     assert not np.allclose(E_fwd.value[-1], E_rev.value[-1])
 
 
 def test_decode_step_uniform_for_zero_params():
     params = zero_params(6, SMALL)
-    E, _, _ = policy.encode(np.ones((4, 6)), params)
+    E, _, _ = policy.encode([np.ones((4, 6))], params)
     dist = policy.decode_step(Var(np.zeros(SMALL.d_hidden)), E, params)
     assert dist == pytest.approx(np.full(5, 1 / 5), abs=1e-12)
 
@@ -74,7 +75,7 @@ def test_decode_step_uniform_for_zero_params():
 def test_decode_step_sums_to_one():
     rng = np.random.default_rng(3)
     params = policy.init_params(6, SMALL)
-    E, _, _ = policy.encode(rng.standard_normal((7, 6)), params)
+    E, _, _ = policy.encode([rng.standard_normal((7, 6))], params)
     for _ in range(20):
         dist = policy.decode_step(Var(rng.standard_normal(SMALL.d_hidden)), E, params)
         assert abs(dist.sum() - 1.0) < 1e-12
@@ -104,7 +105,7 @@ def test_forward_teacher_emits_k_plus_one():
     rng = np.random.default_rng(4)
     feats = rng.standard_normal((8, 6))
     params = policy.init_params(6, SMALL)
-    logits, task = policy.forward_teacher(feats, [2, 5, 1], params, "none")
+    [(logits, task)] = policy.forward_teacher([feats], [[2, 5, 1]], params, "none")
     assert logits.value.shape == (4, 9)  # K+1 distributions over n+1 slots
     assert task is None
 
@@ -114,7 +115,7 @@ def test_forward_teacher_localize_head():
     rng = np.random.default_rng(5)
     feats = rng.standard_normal((8, 6))
     params = policy.init_params(6, cfg)
-    _, task = policy.forward_teacher(feats, [0, 3], params, "localize")
+    [(_, task)] = policy.forward_teacher([feats], [[0, 3]], params, "localize")
     assert task.value.shape == (8,)  # no stop slot
     assert abs(ad.softmax(task.value).sum() - 1.0) < 1e-12
 
@@ -122,9 +123,9 @@ def test_forward_teacher_localize_head():
 def test_forward_teacher_validates_steps():
     params = policy.init_params(6, SMALL)
     with pytest.raises(ValueError):
-        policy.forward_teacher(np.zeros((3, 6)), [], params)
+        policy.forward_teacher([np.zeros((3, 6))], [[]], params)
     with pytest.raises(IndexError):
-        policy.forward_teacher(np.zeros((3, 6)), [5], params)
+        policy.forward_teacher([np.zeros((3, 6))], [[5]], params)
 
 
 def test_bc_loss_analytic_values():
@@ -173,7 +174,7 @@ def test_full_policy_grad_check():
         p.value = p.value * 6.0  # probe away from the tiny-gradient init regime
 
     def loss_fn(p):
-        logits, task = policy.forward_teacher(feats, [1, 4, 0], p, "classify")
+        [(logits, task)] = policy.forward_teacher([feats], [[1, 4, 0]], p, "classify")
         return policy.bc_loss(logits, [1, 4, 0], task, 2, 1.0, 1.0)
 
     assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
@@ -247,19 +248,36 @@ def test_gru_sequence_rows_match_step_by_step_cell():
         assert (states[t] == h).all()
 
 
-def test_pointer_attention_grad_check():
+def pointer_problem(with_stop):
+    """The action pointer (stop slot, v) or the localize pointer (no stop, v_loc)."""
     rng = np.random.default_rng(14)
-    base = scaled_params(3, SMALL)
-    params = {"W2": base["W2"], "v": base["v"],
-              "P": Var(rng.standard_normal((6, SMALL.d_attn))),
-              "D": Var(rng.standard_normal((4, SMALL.d_hidden)) * 2.0)}
-    targets = rng.integers(0, 6, size=4)
+    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, task_mode="localize")
+    score_vec = "v" if with_stop else "v_loc"
+    params = {k: v for k, v in scaled_params(3, cfg).items()
+              if k in ("W1", "b_a", "W2", score_vec, "e_stop")}
+    params["E"] = Var(rng.standard_normal((6, SMALL.d_hidden)) * 2.0)
+    params["D"] = Var(rng.standard_normal((5, SMALL.d_hidden)) * 2.0)
+    targets = rng.integers(0, 6, size=5)
 
     def loss_fn(p):
         return ad.softmax_cross_entropy_rows(
-            policy.pointer_attention(p["P"], p["D"], p), targets)
+            policy.pointer_attention(p["E"], p["D"], p, score_vec, with_stop), targets)
 
+    return loss_fn, params
+
+
+def test_pointer_attention_grad_check():
+    loss_fn, params = pointer_problem(with_stop=True)
     assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
+
+
+@pytest.mark.parametrize("with_stop", [True, False])
+def test_pointer_attention_grad_check_in_blocks(with_stop, monkeypatch):
+    # Two steps a block, so the five steps take three blocks, the last short.
+    monkeypatch.setattr(policy, "POINTER_BLOCK", 2 * (6 + with_stop) * SMALL.d_attn)
+    loss_fn, params = pointer_problem(with_stop)
+    assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
+    assert (params["e_stop"].grad is None) == (not with_stop)
 
 
 def test_softmax_cross_entropy_rows_grad_check_and_value():
@@ -282,7 +300,7 @@ def test_full_policy_grad_check_localize_head():
     steps = [1, 4, 1]  # a repeated step sends two gradients into one embedding row
 
     def loss_fn(p):
-        logits, task = policy.forward_teacher(feats, steps, p, "localize")
+        [(logits, task)] = policy.forward_teacher([feats], [steps], p, "localize")
         return policy.bc_loss(logits, steps, task, 3, 1.0, 1.0)
 
     assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
@@ -298,5 +316,97 @@ def test_teacher_forcing_on_rollout_reproduces_it():
     params = scaled_params(5, cfg)
     steps, _ = policy.rollout(feats, params, max_steps=30)
     assert len(set(steps)) >= 3 and len(steps) < 30
-    logits, _ = policy.forward_teacher(feats, steps, params)
+    [(logits, _)] = policy.forward_teacher([feats], [steps], params)
     assert list(np.argmax(logits.value, axis=1)) == steps + [9]
+
+
+# ---------------------------------------------------------------------------
+# Lockstep groups: padding must not change any trajectory's loss or gradient
+
+
+RAGGED = [(6, [1, 4]), (4, [0, 3, 3, 1, 2]), (7, [6, 2, 5])]  # distinct n and K
+WEIGHTS = [1.0, 0.5, 2.0, 1.5]
+
+
+def ragged_group(rng, d_feat=5):
+    return [rng.standard_normal((n, d_feat)) * 4.0 for n, _ in RAGGED], [s for _, s in RAGGED]
+
+
+def group_losses(features, steps, p, task_mode, labels, weights):
+    return [policy.bc_loss(logits, s, task, label, 1.0, 1.0, weight)
+            for (logits, task), s, label, weight in zip(
+                policy.forward_teacher(features, steps, p, task_mode), steps, labels, weights)]
+
+
+@pytest.mark.parametrize("task_mode,n_classes,labels", [
+    ("classify", 3, [2, 0, 1]), ("localize", 0, [5, 1, 3])])
+def test_ragged_group_grad_check(task_mode, n_classes, labels):
+    rng = np.random.default_rng(18)
+    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, task_mode=task_mode, n_classes=n_classes)
+    features, steps = ragged_group(rng)
+    params = scaled_params(5, cfg)
+
+    def loss_fn(p):
+        return reduce(ad.add, group_losses(features, steps, p, task_mode, labels, WEIGHTS))
+
+    assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
+
+
+def run_groups(cuts, features, steps, params, task_mode, labels):
+    """Per-trajectory losses and summed gradients over the given group cuts."""
+    ad.zero_grads(params)
+    losses = []
+    for group in cuts:
+        def pick(seq):
+            return [seq[i] for i in group]
+
+        group_l = group_losses(pick(features), pick(steps), params, task_mode,
+                               pick(labels), pick(WEIGHTS))
+        losses += [float(l.value) for l in group_l]
+        ad.backward(reduce(ad.add, group_l))
+    return np.array(losses), ad.collect_grads(params)
+
+
+@pytest.mark.parametrize("task_mode", ["none", "classify", "localize"])
+def test_group_equals_one_trajectory_at_a_time(task_mode):
+    # The group function differs from one trajectory at a time only in the
+    # order of its sums, so results agree to float64 roundoff.
+    rng = np.random.default_rng(19)
+    cfg = BCConfig(d_emb=6, d_hidden=5, d_attn=7, task_mode=task_mode,
+                   n_classes=3 if task_mode == "classify" else 0)
+    features, steps = ragged_group(rng)
+    features.append(rng.standard_normal((3, 5)))
+    steps.append([2])
+    labels = [0, 1, 2, 1]
+    params = scaled_params(5, cfg, factor=3.0)
+    ref_losses, ref_grads = run_groups([[0], [1], [2], [3]], features, steps, params,
+                                       task_mode, labels)
+    for cuts in ([[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1, 2, 3]], [[0, 1, 2], [3]]):
+        losses, grads = run_groups(cuts, features, steps, params, task_mode, labels)
+        assert np.abs(losses - ref_losses).max() <= 1e-12 * np.abs(ref_losses).max()
+        for name, g in grads.items():
+            assert np.linalg.norm(g - ref_grads[name]) <= 1e-12 * np.linalg.norm(ref_grads[name]), name
+
+
+def test_full_read_memory_is_bounded():
+    # A 721-step full read of a 721-token snippet. The pointer node keeps no
+    # steps x keys x d_attn array (266 MB here), so the peak stays small.
+    import tracemalloc
+
+    from codegaze import synth
+    from codegaze.features import FeatureSpec, build_vocab, featurize
+
+    snippet = synth.gen_snippet(synth.GeneratorConfig(seed=3, lines_min=120, lines_max=120), 0)
+    steps = synth.linear_reader(snippet).steps
+    feats = featurize(snippet, FeatureSpec(mode="onehot_pos"), build_vocab([snippet]))
+    params = policy.init_params(feats.shape[1], BCConfig())
+    assert len(steps) == 721
+    tracemalloc.start()
+    try:
+        [(logits, _)] = policy.forward_teacher([feats], [steps], params)
+        ad.backward(policy.bc_loss(logits, steps, None, None, 1.0, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert all(np.isfinite(p.grad).all() for p in params.values())

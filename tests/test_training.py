@@ -154,3 +154,52 @@ def test_localize_training_on_tiny_corpus():
     m = training.evaluate(ckpt, demos, snippets)
     assert m.task_accuracy is not None
     assert m.task_accuracy >= 0.5  # BUGTOK is lexically distinct, learns fast
+
+
+def test_lockstep_groups_keep_order_and_row_budget(monkeypatch):
+    from dataclasses import replace
+    snippets, demos = tiny_dataset(n=30)
+    feats = {sid: np.zeros((len(sn.tokens), 1)) for sid, sn in snippets.items()}
+    demos[3] = replace(demos[3], steps=demos[3].steps * 4)  # longer than the budget
+    monkeypatch.setattr(training, "ROW_BUDGET", 40)
+    batches = training.lockstep_groups(demos, feats, 8)
+    assert len(batches) == 4
+    for i, groups in enumerate(batches):
+        assert [t for g in groups for t in g] == demos[8 * i:8 * (i + 1)]
+        for g in groups:
+            rows = max(max(feats[t.snippet_id].shape[0], len(t.steps) + 1) for t in g)
+            assert rows * len(g) <= 40 or g == [demos[3]]
+    sizes = [len(g) for groups in batches for g in groups]
+    assert max(sizes) > 1 and len(sizes) > len(batches)  # the budget cut some batches
+    assert [demos[3]] in batches[0]
+
+
+def test_one_adam_step_per_batch(monkeypatch):
+    snippets, demos = tiny_dataset(n=21)
+    calls = []
+    real_step = training.ad.adam_step
+    monkeypatch.setattr(training.ad, "adam_step",
+                        lambda *args: calls.append(1) or real_step(*args))
+    monkeypatch.setattr(training, "ROW_BUDGET", 40)  # several groups per batch
+    training.train(demos, snippets, BCConfig(epochs=2, batch=4, **TINY_NET))
+    assert len(calls) == 2 * -(-len(demos) // 4)
+
+
+def test_evaluate_featurizes_only_referenced_snippets(monkeypatch):
+    import copy
+    snippets, demos = tiny_dataset()
+    ckpt = training.train(demos[:12], snippets, BCConfig(epochs=1, **TINY_NET))
+    held = demos[12:17]
+    referenced = {t.snippet_id: snippets[t.snippet_id] for t in held}
+    before = copy.deepcopy(snippets)
+    featurized = []
+    real_featurize = training.featurize
+
+    def spy(snippet, *args):
+        featurized.append(snippet.id)
+        return real_featurize(snippet, *args)
+
+    monkeypatch.setattr(training, "featurize", spy)
+    assert training.evaluate(ckpt, held, snippets) == training.evaluate(ckpt, held, referenced)
+    assert sorted(featurized) == sorted(2 * list(referenced))
+    assert snippets == before  # the caller's snippets are not written to
