@@ -5,7 +5,7 @@ from .features import FeatureSpec, Vocab, build_vocab, featurize
 from .gaze import (Fixation, LayoutSpec, Trajectory, augment, build_trajectory,
                    map_fixation)
 from .lexer import LabelKind, Snippet, TaskLabel, Token, TokenKind, tokenize
-from .policy import BCConfig, bc_loss, decode_step, encode, forward_teacher, init_params, rollout
+from .policy import BCConfig, bc_loss, encode, forward_teacher, init_params, rollout
 from .synth import GeneratorConfig, bug_seeker, gen_snippet, keyword_skimmer, linear_reader
 from .training import Checkpoint, Metrics, evaluate, load_checkpoint, save_checkpoint, train
 
@@ -17,8 +17,7 @@ __all__ = [
     "Fixation", "LayoutSpec", "Trajectory", "augment", "build_trajectory",
     "map_fixation",
     "LabelKind", "Snippet", "TaskLabel", "Token", "TokenKind", "tokenize",
-    "BCConfig", "bc_loss", "decode_step", "encode", "forward_teacher",
-    "init_params", "rollout",
+    "BCConfig", "bc_loss", "encode", "forward_teacher", "init_params", "rollout",
     "GeneratorConfig", "bug_seeker", "gen_snippet", "keyword_skimmer",
     "linear_reader",
     "Checkpoint", "Metrics", "evaluate", "load_checkpoint", "save_checkpoint",

@@ -2,7 +2,7 @@
 rollout / gradcheck.
 
 Configuration is a flat JSON file (``--config``) whose keys mirror the
-command-line flags; flags win over file values, unknown keys are rejected.
+command-line flags; flags win over file values, which are type-checked.
 Exit codes: 0 success, 1 usage or config error, 2 data error.
 """
 
@@ -12,10 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from functools import reduce
 from pathlib import Path
-
-import numpy as np
 
 from . import autodiff as ad
 from . import policy, synth, training
@@ -24,28 +21,42 @@ from .gaze import (EmptyTrajectoryError, LayoutSpec, StepRangeError, augment,
                    build_trajectory, load_layout, read_fixations_csv,
                    read_trajectories_jsonl, write_trajectories_jsonl)
 from .lexer import LabelKind, LexError, TaskLabel, attach_labels, load_corpus, load_labels
-from .training import CheckpointError
+from .training import CheckpointError, check_json_object
 
 
 class UsageError(ValueError):
     pass
 
 
-DEFAULTS = {
+# Options that no config dataclass owns.
+OTHER_OPTIONS = {
     "corpus_dir": None, "labels": None, "gaze_dir": None, "layout": None,
     "trajectories": None, "checkpoint": None, "metrics_out": None, "out": None,
     "snippet": None, "split": "all",
-    "seed": 0, "w_att": 1.0, "w_aux": 0.0,
-    "d_emb": 32, "d_hidden": 48, "d_attn": 64,
-    "lr": 5e-3, "grad_clip": 5.0, "epochs": 50, "batch": 8,
-    "task_mode": "none", "n_classes": 0,
     "feature_mode": "onehot_pos", "ngram_n": 3, "ngram_buckets": 64,
     "embed_path": "", "min_count": 1,
     "min_dur_ms": 50.0, "radius_px": 30.0, "sigma_tokens": 1.0, "m": 4,
-    "n_snippets": 200, "lines_min": 3, "lines_max": 5, "bug_rate": 0.0,
     "expert": "linear", "salient": None, "bug_window": 2,
     "max_steps": 256, "tab_width": 4, "keywords": None,
 }
+
+
+def _field_defaults(cls) -> dict:
+    """Default of each field of `cls` that has a plain (not factory) default."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+# BCConfig's default wins where it shares a field name with GeneratorConfig.
+# An option's type is its default's, str for a None default.
+DEFAULTS = {**_field_defaults(synth.GeneratorConfig), **_field_defaults(policy.BCConfig),
+            **OTHER_OPTIONS}
+OPTION_TYPES = {key: str if val is None else type(val) for key, val in DEFAULTS.items()}
+
+
+def _from_cfg(cls, cfg: dict):
+    """`cls` built from the options named like its fields."""
+    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg})
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -54,11 +65,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
         try:
             with open(args.config, encoding="utf-8") as f:
                 file_cfg = json.load(f)
+            check_json_object(file_cfg, OPTION_TYPES, "config")
         except json.JSONDecodeError as e:
             raise UsageError(f"config {args.config}: invalid JSON: {e}") from e
-        unknown = set(file_cfg) - set(DEFAULTS)
-        if unknown:
-            raise UsageError(f"config {args.config}: unknown keys {sorted(unknown)}")
+        except ValueError as e:
+            raise UsageError(f"config {args.config}: {e}") from e
         cfg.update(file_cfg)
     for key in DEFAULTS:
         val = getattr(args, key, None)
@@ -91,14 +102,6 @@ def _load_corpus(cfg: dict) -> dict:
 def _feature_spec(cfg: dict) -> FeatureSpec:
     return FeatureSpec(mode=cfg["feature_mode"], ngram_n=cfg["ngram_n"],
                        buckets=cfg["ngram_buckets"], path=cfg["embed_path"])
-
-
-def _bc_config(cfg: dict) -> policy.BCConfig:
-    return policy.BCConfig(
-        w_att=cfg["w_att"], w_aux=cfg["w_aux"], d_emb=cfg["d_emb"],
-        d_hidden=cfg["d_hidden"], d_attn=cfg["d_attn"], lr=cfg["lr"],
-        grad_clip=cfg["grad_clip"], epochs=cfg["epochs"], batch=cfg["batch"],
-        seed=cfg["seed"], task_mode=cfg["task_mode"], n_classes=cfg["n_classes"])
 
 
 def _split_trajectories(trajectories, split: str):
@@ -134,8 +137,8 @@ def cmd_tokenize(cfg: dict) -> int:
 
 def cmd_ingest(cfg: dict) -> int:
     _require(cfg, "corpus_dir", "gaze_dir", "layout", "out")
-    corpus = _load_corpus(cfg)
     layout = load_layout(cfg["layout"])
+    corpus = _load_corpus(dict(cfg, tab_width=layout.tab_width))
     trajectories = []
     for path in sorted(Path(cfg["gaze_dir"]).glob("*.csv")):
         sid = path.stem
@@ -166,9 +169,7 @@ def cmd_augment(cfg: dict) -> int:
 
 def cmd_synth(cfg: dict) -> int:
     _require(cfg, "corpus_dir", "labels", "out")
-    gen = synth.GeneratorConfig(
-        seed=cfg["seed"], n_snippets=cfg["n_snippets"], n_classes=max(cfg["n_classes"], 2),
-        lines_min=cfg["lines_min"], lines_max=cfg["lines_max"], bug_rate=cfg["bug_rate"])
+    gen = _from_cfg(synth.GeneratorConfig, dict(cfg, n_classes=max(cfg["n_classes"], 2)))
     synth.write_corpus(gen, cfg["corpus_dir"], cfg["labels"])
 
     salient = set(cfg["salient"].split(",")) if cfg["salient"] else gen.keyword_set()
@@ -186,7 +187,7 @@ def cmd_synth(cfg: dict) -> int:
     write_trajectories_jsonl(demos, cfg["out"])
 
     if cfg["gaze_dir"]:
-        layout = LayoutSpec()
+        layout = LayoutSpec(tab_width=cfg["tab_width"])
         gaze_dir = Path(cfg["gaze_dir"])
         gaze_dir.mkdir(parents=True, exist_ok=True)
         for index, traj in enumerate(demos):
@@ -213,7 +214,7 @@ def cmd_train(cfg: dict) -> int:
     train_ids = {t.snippet_id for t in train_trajs}
     train_snippets = {sid: sn for sid, sn in corpus.items() if sid in train_ids}
     _backfill_tasks(train_trajs, train_snippets, cfg["task_mode"])
-    ckpt = training.train(train_trajs, train_snippets, _bc_config(cfg),
+    ckpt = training.train(train_trajs, train_snippets, _from_cfg(policy.BCConfig, cfg),
                           _feature_spec(cfg), min_count=cfg["min_count"])
     training.save_checkpoint(ckpt, cfg["checkpoint"])
     if cfg["metrics_out"]:
@@ -261,38 +262,8 @@ def cmd_rollout(cfg: dict) -> int:
     return 0
 
 
-def gradcheck_problem(seed: int = 0):
-    """Full-policy gradient-check instance: one lockstep group of two
-    trajectories (n=12 tokens with K=5 steps, n=9 with K=3) and 3 classes,
-    so the check covers the padding of the shorter one.
-
-    The probe point uses parameters ~6x the training init scale and amplified
-    features: at the training init, many true gradient entries sit below the
-    float64 roundoff of central differences at eps=1e-5, which would make any
-    implementation look wrong. Backward-rule correctness is independent of the
-    probe point.
-    """
-    rng = np.random.default_rng(seed)
-    shapes, labels, d_feat = [(12, 5), (9, 3)], [1, 2], 20
-    bc = policy.BCConfig(w_att=1.0, w_aux=1.0, d_emb=8, d_hidden=8, d_attn=8,
-                         seed=seed, task_mode="classify", n_classes=3)
-    features = [rng.standard_normal((n, d_feat)) * 4.0 for n, _ in shapes]
-    steps = [[int(s) for s in rng.integers(0, n, size=k)] for n, k in shapes]
-    params = policy.init_params(d_feat, bc)
-    for p in params.values():
-        p.value = p.value * 6.0
-
-    def loss_fn(p):
-        outputs = policy.forward_teacher(features, steps, p, bc.task_mode)
-        return reduce(ad.add, [
-            policy.bc_loss(logits, s, task_logits, label, bc.w_att, bc.w_aux)
-            for (logits, task_logits), s, label in zip(outputs, steps, labels)])
-
-    return loss_fn, params
-
-
 def cmd_gradcheck(cfg: dict) -> int:
-    loss_fn, params = gradcheck_problem(cfg["seed"])
+    loss_fn, params = policy.gradcheck_problem(cfg["seed"])
     err = ad.grad_check(loss_fn, params, eps=1e-5)
     print(json.dumps({"max_relative_error": err, "threshold": 1e-4}))
     return 0 if err <= 1e-4 else 2
@@ -306,17 +277,6 @@ COMMANDS = {
     "rollout": cmd_rollout, "gradcheck": cmd_gradcheck,
 }
 
-_FLAG_TYPES = {
-    "seed": int, "d_emb": int, "d_hidden": int, "d_attn": int, "epochs": int,
-    "batch": int, "n_classes": int, "ngram_n": int, "ngram_buckets": int,
-    "min_count": int, "m": int, "n_snippets": int, "lines_min": int,
-    "lines_max": int, "bug_window": int, "max_steps": int, "tab_width": int,
-    "w_att": float, "w_aux": float, "lr": float, "grad_clip": float,
-    "min_dur_ms": float, "radius_px": float, "sigma_tokens": float,
-    "bug_rate": float,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="codegaze")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -325,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None)
         for key in DEFAULTS:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           type=_FLAG_TYPES.get(key, str), default=None)
+                           type=OPTION_TYPES[key], default=None)
     return parser
 
 

@@ -16,14 +16,14 @@ gates). Teacher forcing knows every decoder input in advance, so
 steps every sequence of the group at once, one (B x d) matmul per step,
 with the shorter sequences padded at the end. The pointer attention and
 the loss stay per trajectory, and the pointer node recomputes its keys and
-tanh in its backward instead of keeping them. Greedy `rollout` and
-`decode_step` call the same cell and score function on plain arrays and
-build no tape.
+tanh in its backward instead of keeping them. Greedy `rollout` calls the
+same cell and score function on plain arrays and builds no tape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -57,14 +57,14 @@ class BCConfig:
             raise ValueError("loss weights must be non-negative with a positive sum")
         if min(self.d_emb, self.d_hidden, self.d_attn) < 1:
             raise ValueError("network dimensions must be at least 1")
+        if self.batch < 1:
+            raise ValueError("batch must be at least 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
         if self.task_mode not in (TASK_NONE, TASK_CLASSIFY, TASK_LOCALIZE):
             raise ValueError(f"unknown task_mode {self.task_mode!r}")
         if self.task_mode == TASK_CLASSIFY and self.n_classes < 2:
             raise ValueError("classify mode needs n_classes >= 2")
-
-
-def _gru_param_names(prefix: str) -> list[tuple[str, str]]:
-    return [(f"{prefix}_W{g}", f"{prefix}_U{g}") for g in "zrh"]
 
 
 def init_params(d_feat: int, cfg: BCConfig) -> dict[str, Var]:
@@ -308,13 +308,6 @@ def pointer_attention(E: Var, D: Var, p: dict[str, Var], score_vec: str = "v",
     return out
 
 
-def decode_step(d: Var, E: Var, p: dict[str, Var]) -> np.ndarray:
-    """Distribution over n+1 slots (n tokens plus stop) for one decoder state."""
-    pv = _arrays(p)
-    logits, _ = pointer_scores(_pointer_keys(pv, E.value), d.value @ pv["W2"], pv["v"])
-    return ad.softmax(logits)
-
-
 def forward_teacher(features: list[np.ndarray], steps: list[list[int]], p: dict[str, Var],
                     task_mode: str = TASK_NONE) -> list[tuple[Var, Var | None]]:
     """Teacher-forced pass over a lockstep group of trajectories.
@@ -416,3 +409,33 @@ def rollout(features: np.ndarray, p: dict, max_steps: int,
         loc, _ = pointer_scores(P[:n], d @ W2, pv["v_loc"])
         task_out = int(np.argmax(loc))
     return steps, task_out
+
+
+def gradcheck_problem(seed: int = 0):
+    """Full-policy gradient-check instance: one lockstep group of two
+    trajectories (n=12 tokens with K=5 steps, n=9 with K=3) and 3 classes,
+    so the check covers the padding of the shorter one.
+
+    The probe point uses parameters ~6x the training init scale and amplified
+    features: at the training init, many true gradient entries sit below the
+    float64 roundoff of central differences at eps=1e-5, which would make any
+    implementation look wrong. Backward-rule correctness is independent of the
+    probe point.
+    """
+    rng = np.random.default_rng(seed)
+    shapes, labels, d_feat = [(12, 5), (9, 3)], [1, 2], 20
+    bc = BCConfig(w_att=1.0, w_aux=1.0, d_emb=8, d_hidden=8, d_attn=8,
+                  seed=seed, task_mode=TASK_CLASSIFY, n_classes=3)
+    features = [rng.standard_normal((n, d_feat)) * 4.0 for n, _ in shapes]
+    steps = [[int(s) for s in rng.integers(0, n, size=k)] for n, k in shapes]
+    params = init_params(d_feat, bc)
+    for p in params.values():
+        p.value = p.value * 6.0
+
+    def loss_fn(p):
+        outputs = forward_teacher(features, steps, p, bc.task_mode)
+        return reduce(ad.add, [
+            bc_loss(logits, s, task_logits, label, bc.w_att, bc.w_aux)
+            for (logits, task_logits), s, label in zip(outputs, steps, labels)])
+
+    return loss_fn, params

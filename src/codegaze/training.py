@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 
@@ -238,13 +239,27 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
         f.write("\n")
 
 
-def _dataclass_from_obj(cls, obj: dict, what: str, path):
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+def check_json_object(obj, types: dict[str, type], what: str) -> None:
+    """Raises ValueError unless `obj` is a dict from keys of `types` to values
+    of their types; an int passes for a float, a bool or a float not for an int."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(types))
     if unknown:
-        raise CheckpointError(f"checkpoint {path}: unknown {what} keys {unknown}")
+        raise ValueError(f"unknown {what} keys {unknown}")
+    for key, value in obj.items():
+        want = types[key]
+        if type(value) is not want and not (want is float and type(value) is int):
+            raise ValueError(f"{what} key {key!r} must be {want.__name__}, "
+                             f"not {type(value).__name__}")
+
+
+def _dataclass_from_obj(cls, obj, what: str, path):
+    hints = typing.get_type_hints(cls)
     try:
+        check_json_object(obj, {f.name: hints[f.name] for f in fields(cls)}, what)
         return cls(**obj)
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint {path}: invalid {what}: {e}") from e
 
 

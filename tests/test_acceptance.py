@@ -68,7 +68,7 @@ def fit_and_score(snippets, demos, train_ids, held_ids, bc):
 
 def test_criterion_1_gradient_correctness():
     t0 = time.time()
-    loss_fn, params = cli.gradcheck_problem(seed=0)
+    loss_fn, params = policy.gradcheck_problem(seed=0)
     err = ad.grad_check(loss_fn, params, eps=1e-5)
     elapsed = time.time() - t0
     report(1, f"full-policy grad check max rel err {err:.2e} <= 1e-4 "

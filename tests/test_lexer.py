@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codegaze.lexer import (LabelKind, LexError, TokenKind, attach_labels,
                             load_corpus, load_labels, tokenize)
@@ -82,6 +84,22 @@ def test_deterministic_and_total():
                 tokenize(src, {"ab"})
             continue
         assert spans(tokenize(src, {"ab"})) == first
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=st.text(), tab_width=st.integers(1, 16))
+def test_tokenize_is_total_and_spans_are_exact(source, tab_width):
+    try:
+        sn = tokenize(source, {"if"}, tab_width=tab_width)
+    except LexError:
+        return
+    lines = [raw.expandtabs(tab_width) for raw in source.split("\n")]
+    assert sn.n_lines == len(lines)
+    for a, b in zip(sn.tokens, sn.tokens[1:]):
+        assert (a.line, a.col_end) <= (b.line, b.col_start)
+    for t in sn.tokens:
+        assert t.col_start < t.col_end
+        assert lines[t.line][t.col_start:t.col_end] == t.text
 
 
 def test_round_trip_covers_non_whitespace():

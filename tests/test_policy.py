@@ -1,8 +1,11 @@
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codegaze import autodiff as ad
 from codegaze import policy
@@ -27,6 +30,11 @@ def test_config_validation():
         BCConfig(task_mode="classify", n_classes=0)
     with pytest.raises(ValueError):
         BCConfig(task_mode="bogus")
+    with pytest.raises(ValueError, match="batch"):
+        BCConfig(batch=0)
+    with pytest.raises(ValueError, match="epochs"):
+        BCConfig(epochs=-1)
+    assert BCConfig(epochs=0, batch=1).epochs == 0
 
 
 def test_init_within_range_and_seeded():
@@ -65,24 +73,28 @@ def test_encode_is_order_sensitive():
     assert not np.allclose(E_fwd.value[-1], E_rev.value[-1])
 
 
-def test_decode_step_uniform_for_zero_params():
+def test_pointer_logits_equal_for_zero_params():
     params = zero_params(6, SMALL)
     E, _, _ = policy.encode([np.ones((4, 6))], params)
-    dist = policy.decode_step(Var(np.zeros(SMALL.d_hidden)), E, params)
-    assert dist == pytest.approx(np.full(5, 1 / 5), abs=1e-12)
+    logits = policy.pointer_attention(E, Var(np.zeros((1, SMALL.d_hidden))), params).value
+    assert logits.shape == (1, 5)
+    assert (logits == logits[0, 0]).all()
 
 
-def test_decode_step_sums_to_one():
+def test_pointer_logits_give_slot_distributions():
     rng = np.random.default_rng(3)
     params = policy.init_params(6, SMALL)
     E, _, _ = policy.encode([rng.standard_normal((7, 6))], params)
-    for _ in range(20):
-        dist = policy.decode_step(Var(rng.standard_normal(SMALL.d_hidden)), E, params)
+    D = Var(rng.standard_normal((20, SMALL.d_hidden)))
+    logits = policy.pointer_attention(E, D, params).value
+    assert logits.shape == (20, 8)  # 7 tokens plus stop for each decoder state
+    for row in logits:
+        dist = ad.softmax(row)
         assert abs(dist.sum() - 1.0) < 1e-12
         assert (dist >= 0).all()
 
 
-def test_decode_step_matches_hand_computed_softmax():
+def test_pointer_logits_match_hand_computed():
     # 1-dimensional tensors so the three logits can be computed by hand:
     # u_j = v * tanh(w1*k_j + w2*d + b), keys = [e1, e2, e_stop]
     cfg = BCConfig(d_emb=1, d_hidden=1, d_attn=1)
@@ -96,9 +108,8 @@ def test_decode_step_matches_hand_computed_softmax():
     E = Var(np.array([[0.2], [-0.4]]))
     d = 0.9
     expected_logits = [v * math.tanh(w1 * k + w2 * d + b) for k in (0.2, -0.4, 0.7)]
-    z = np.exp(expected_logits - np.max(expected_logits))
-    dist = policy.decode_step(Var(np.array([d])), E, params)
-    assert dist == pytest.approx(z / z.sum(), abs=1e-12)
+    logits = policy.pointer_attention(E, Var(np.array([[d]])), params).value
+    assert logits[0] == pytest.approx(expected_logits, abs=1e-12)
 
 
 def test_forward_teacher_emits_k_plus_one():
@@ -410,3 +421,36 @@ def test_full_read_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 64e6
     assert all(np.isfinite(p.grad).all() for p in params.values())
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("task_mode,n_classes,labels", [
+    ("none", 0, [None, None]), ("classify", 3, [2, 0]), ("localize", 0, [5, 1])])
+def test_saturated_parameters_stay_finite(task_mode, n_classes, labels, seed):
+    # Parameters x1e4 and features x100 saturate every gate and tanh. The
+    # only numpy warning allowed is the sigmoid's exp overflow, which rounds
+    # the gate to its exact limit.
+    rng = np.random.default_rng(seed)
+    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, seed=seed, task_mode=task_mode,
+                   n_classes=n_classes)
+    features = [rng.standard_normal((n, 5)) * 100.0 for n, _ in RAGGED[:2]]
+    steps = [s for _, s in RAGGED[:2]]
+    params = scaled_params(5, cfg, factor=1e4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "overflow encountered in exp", RuntimeWarning,
+                                "codegaze.policy")
+        loss = reduce(ad.add, group_losses(features, steps, params, task_mode, labels,
+                                           [1.0, 0.5]))
+        ad.backward(loss)
+        rollouts = [policy.rollout(f, params, 40, task_mode) for f in features]
+    assert np.isfinite(loss.value)
+    for name, grad in ad.collect_grads(params).items():
+        assert np.isfinite(grad).all(), name
+    for f, (rolled, task_out) in zip(features, rollouts):
+        assert len(rolled) <= 40 and all(0 <= s < f.shape[0] for s in rolled)
+        if task_mode == "classify":
+            assert 0 <= task_out < n_classes
+        elif task_mode == "localize":
+            assert 0 <= task_out < f.shape[0]
