@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -17,11 +18,12 @@ from pathlib import Path
 from . import autodiff as ad
 from . import policy, synth, training
 from .features import FeatureSpec
-from .gaze import (EmptyTrajectoryError, LayoutSpec, StepRangeError, augment,
+from .gaze import (EmptyTrajectoryError, GazeFileError, LayoutSpec, StepRangeError, augment,
                    build_trajectory, load_layout, read_fixations_csv,
-                   read_trajectories_jsonl, write_trajectories_jsonl)
-from .lexer import LabelKind, LexError, TaskLabel, attach_labels, load_corpus, load_labels
-from .training import CheckpointError, check_json_object
+                   read_trajectories_jsonl, write_fixations_csv, write_trajectories_jsonl)
+from .lexer import (LabelKind, LexError, TaskLabel, attach_labels, check_json_object,
+                    load_corpus, load_labels)
+from .training import CheckpointError
 
 
 class UsageError(ValueError):
@@ -167,40 +169,47 @@ def cmd_augment(cfg: dict) -> int:
     return 0
 
 
+def _expert(cfg: dict, gen: synth.GeneratorConfig):
+    """The scripted reader `--expert` names, as a function of a snippet."""
+    salient = set(cfg["salient"].split(",")) if cfg["salient"] else gen.keyword_set()
+    if cfg["expert"] == "linear":
+        return synth.linear_reader
+    if cfg["expert"] == "skimmer":
+        return lambda snippet: synth.keyword_skimmer(snippet, salient)
+    if cfg["expert"] == "bug_seeker":
+        return lambda snippet: synth.bug_seeker(snippet, cfg["bug_window"])
+    raise UsageError(f"unknown expert {cfg['expert']!r}")
+
+
 def cmd_synth(cfg: dict) -> int:
     _require(cfg, "corpus_dir", "labels", "out")
     gen = _from_cfg(synth.GeneratorConfig, dict(cfg, n_classes=max(cfg["n_classes"], 2)))
-    synth.write_corpus(gen, cfg["corpus_dir"], cfg["labels"])
-
-    salient = set(cfg["salient"].split(",")) if cfg["salient"] else gen.keyword_set()
-    demos = []
-    for index in range(gen.n_snippets):
-        snippet = synth.gen_snippet(gen, index)
-        if cfg["expert"] == "linear":
-            demos.append(synth.linear_reader(snippet))
-        elif cfg["expert"] == "skimmer":
-            demos.append(synth.keyword_skimmer(snippet, salient))
-        elif cfg["expert"] == "bug_seeker":
-            demos.append(synth.bug_seeker(snippet, cfg["bug_window"]))
-        else:
-            raise UsageError(f"unknown expert {cfg['expert']!r}")
-    write_trajectories_jsonl(demos, cfg["out"])
-
-    if cfg["gaze_dir"]:
-        layout = LayoutSpec(tab_width=cfg["tab_width"])
-        gaze_dir = Path(cfg["gaze_dir"])
+    expert = _expert(cfg, gen)
+    layout = LayoutSpec(tab_width=cfg["tab_width"])
+    corpus_dir = Path(cfg["corpus_dir"])
+    corpus_dir.mkdir(parents=True, exist_ok=True)
+    gaze_dir = Path(cfg["gaze_dir"]) if cfg["gaze_dir"] else None
+    if gaze_dir:
         gaze_dir.mkdir(parents=True, exist_ok=True)
-        for index, traj in enumerate(demos):
-            snippet = synth.gen_snippet(gen, index)
-            fixations = synth.fixations_for_trajectory(traj, snippet, layout)
-            with open(gaze_dir / f"{traj.snippet_id}.csv", "w", encoding="utf-8") as f:
-                f.write("t_ms,x_px,y_px,dur_ms\n")
-                for fx in fixations:
-                    f.write(f"{fx.t_ms},{fx.x_px},{fx.y_px},{fx.dur_ms}\n")
-        if cfg["layout"]:
-            with open(cfg["layout"], "w", encoding="utf-8") as f:
-                json.dump(dataclasses.asdict(layout), f, sort_keys=True)
-                f.write("\n")
+
+    # Each snippet is generated and lexed once, and only its labels and its
+    # demo outlive the loop.
+    rows, demos = [], []
+    for index in range(gen.n_snippets):
+        source, cls, bug_index = synth.gen_source(gen, index)
+        synth.write_source(corpus_dir, index, source)
+        rows += synth.label_rows(index, cls, bug_index)
+        snippet = synth.lex_snippet(gen, index, source, cls, bug_index)
+        demos.append(expert(snippet))
+        if gaze_dir:
+            write_fixations_csv(synth.fixations_for_trajectory(demos[-1], snippet, layout),
+                                gaze_dir / f"{snippet.id}.csv")
+    synth.write_labels(cfg["labels"], rows)
+    write_trajectories_jsonl(demos, cfg["out"])
+    if gaze_dir and cfg["layout"]:
+        with open(cfg["layout"], "w", encoding="utf-8") as f:
+            json.dump(dataclasses.asdict(layout), f, sort_keys=True)
+            f.write("\n")
     return 0
 
 
@@ -277,15 +286,22 @@ COMMANDS = {
     "rollout": cmd_rollout, "gradcheck": cmd_gradcheck,
 }
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not change it.
+
+    Every subcommand takes the same options, so they share one set of
+    argparse actions.
+    """
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", default=None)
+    for key in DEFAULTS:
+        options.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                             type=OPTION_TYPES[key], default=None)
     parser = argparse.ArgumentParser(prog="codegaze")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        for key in DEFAULTS:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           type=OPTION_TYPES[key], default=None)
+        sub.add_parser(name, parents=[options])
     return parser
 
 
@@ -300,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError,) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (LexError, EmptyTrajectoryError, StepRangeError, CheckpointError,
+    except (LexError, EmptyTrajectoryError, StepRangeError, GazeFileError, CheckpointError,
             policy.EmptySequenceError, FileNotFoundError, KeyError) as e:
         # str() of a KeyError quotes its message; a FileNotFoundError's
         # first argument is only the errno, so it prints whole.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lexer import LabelKind, Snippet, TaskLabel
+from .lexer import LabelKind, Snippet, TaskLabel, check_json_object, field_types
 
 
 class EmptyTrajectoryError(ValueError):
@@ -26,6 +26,14 @@ class EmptyTrajectoryError(ValueError):
 
 class StepRangeError(IndexError):
     """Raised when a trajectory step is not a token index of its snippet."""
+
+
+class GazeFileError(ValueError):
+    """Raised on a malformed fixation CSV or layout file."""
+
+
+# Bound on the fixation x token pairs `map_fixations` compares at once.
+MAP_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -53,35 +61,75 @@ class Trajectory:
     task: TaskLabel | None = None
 
 
-def token_box(layout: LayoutSpec, tok) -> tuple[float, float, float, float]:
-    """(x0, y0, x1, y1) of a token's glyph box in pixels."""
-    x0 = layout.origin_x_px + tok.col_start * layout.char_width_px
-    x1 = layout.origin_x_px + tok.col_end * layout.char_width_px
-    y0 = layout.origin_y_px + tok.line * layout.line_height_px
+def token_boxes(layout: LayoutSpec, tokens) -> tuple[np.ndarray, ...]:
+    """(x0, y0, x1, y1) arrays of the tokens' glyph boxes in pixels."""
+    spans = np.array([(t.col_start, t.col_end, t.line) for t in tokens],
+                     dtype=np.float64).reshape(-1, 3)
+    x0 = layout.origin_x_px + spans[:, 0] * layout.char_width_px
+    x1 = layout.origin_x_px + spans[:, 1] * layout.char_width_px
+    y0 = layout.origin_y_px + spans[:, 2] * layout.line_height_px
     y1 = y0 + layout.line_height_px
     return x0, y0, x1, y1
+
+
+def token_box(layout: LayoutSpec, tok) -> tuple[float, float, float, float]:
+    """(x0, y0, x1, y1) of a token's glyph box in pixels."""
+    return tuple(float(v[0]) for v in token_boxes(layout, [tok]))
+
+
+def map_fixations(fixations: list[Fixation], layout: LayoutSpec, snippet: Snippet,
+                  radius_px: float) -> list[int | None]:
+    """Per fixation, the first token whose box contains it, else the nearest
+    box centre within radius (the lowest index on a tie), else None.
+
+    Works on blocks of at most MAP_BLOCK_CELLS fixation x token pairs.
+    """
+    if radius_px < 0:
+        raise ValueError("radius_px must be non-negative")
+    n = len(snippet.tokens)
+    if n == 0:
+        return [None] * len(fixations)
+    x0, y0, x1, y1 = token_boxes(layout, snippet.tokens)
+    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    xy = np.array([(f.x_px, f.y_px) for f in fixations], dtype=np.float64).reshape(-1, 2)
+    idx = np.full(len(xy), -1)
+    block = max(1, MAP_BLOCK_CELLS // n)
+    for start in range(0, len(xy), block):
+        x, y = xy[start:start + block, :1], xy[start:start + block, 1:]
+        inside = (x0 <= x) & (x < x1) & (y0 <= y) & (y < y1)
+        hit = inside.any(axis=1)
+        out = idx[start:start + block]
+        out[hit] = inside[hit].argmax(axis=1)
+        far = ~hit
+        if far.any():
+            out[far] = _nearest_within(x[far, 0], y[far, 0], cx, cy, radius_px)
+    return [None if i < 0 else i for i in idx.tolist()]
+
+
+def _nearest_within(x, y, cx, cy, radius_px: float) -> np.ndarray:
+    """Index of the nearest centre within radius of each point, else -1."""
+    dist = np.hypot(x[:, None] - cx, y[:, None] - cy)
+    dist[np.isnan(dist)] = np.inf  # a NaN distance is never the nearest
+    nearest = dist.argmin(axis=1)
+    best = dist[np.arange(len(x)), nearest]
+    # np.hypot and math.hypot can differ in the last bit. So a point whose
+    # minimum is nearly tied, or nearly the radius, gets math.hypot's
+    # distances, which decide ties and the radius exactly as a scalar scan.
+    slack = 1e-12 * best
+    with np.errstate(invalid="ignore"):  # inf - inf: no centre at a finite distance
+        unsure = np.isfinite(best) & (
+            ((dist <= (best + slack)[:, None]).sum(axis=1) > 1)
+            | (np.abs(best - radius_px) <= slack))
+    for r in np.flatnonzero(unsure).tolist():
+        exact = [math.hypot(x[r] - a, y[r] - b) for a, b in zip(cx.tolist(), cy.tolist())]
+        best[r], nearest[r] = min((d, i) for i, d in enumerate(exact) if not math.isnan(d))
+    return np.where((best < math.inf) & (best <= radius_px), nearest, -1)
 
 
 def map_fixation(fix: Fixation, layout: LayoutSpec, snippet: Snippet,
                  radius_px: float) -> int | None:
     """Token index under a fixation, or the nearest within radius, else None."""
-    if radius_px < 0:
-        raise ValueError("radius_px must be non-negative")
-    best_idx = None
-    best_dist = math.inf
-    for i, tok in enumerate(snippet.tokens):
-        x0, y0, x1, y1 = token_box(layout, tok)
-        if x0 <= fix.x_px < x1 and y0 <= fix.y_px < y1:
-            return i
-        cx = (x0 + x1) / 2.0
-        cy = (y0 + y1) / 2.0
-        d = math.hypot(fix.x_px - cx, fix.y_px - cy)
-        if d < best_dist:
-            best_dist = d
-            best_idx = i
-    if best_idx is not None and best_dist <= radius_px:
-        return best_idx
-    return None
+    return map_fixations([fix], layout, snippet, radius_px)[0]
 
 
 def merge_consecutive(steps: list[int]) -> list[int]:
@@ -106,13 +154,8 @@ def check_steps(traj: Trajectory, snippet: Snippet) -> None:
 def build_trajectory(fixations: list[Fixation], layout: LayoutSpec, snippet: Snippet,
                      min_dur_ms: float = 50.0, radius_px: float = 30.0) -> Trajectory:
     """Filter short fixations, map to tokens, merge repeats."""
-    mapped = []
-    for fix in fixations:
-        if fix.dur_ms < min_dur_ms:
-            continue
-        idx = map_fixation(fix, layout, snippet, radius_px)
-        if idx is not None:
-            mapped.append(idx)
+    kept = [fix for fix in fixations if not fix.dur_ms < min_dur_ms]
+    mapped = [i for i in map_fixations(kept, layout, snippet, radius_px) if i is not None]
     steps = merge_consecutive(mapped)
     if not steps:
         raise EmptyTrajectoryError(f"empty trajectory for snippet {snippet.id!r}")
@@ -141,36 +184,43 @@ def augment(traj: Trajectory, snippet: Snippet, sigma_tokens: float, m: int,
     n = len(snippet.tokens)
 
     # Candidate sets and kernel probabilities are step-dependent but fixed
-    # across copies; one table row per distinct step, padded to the window.
+    # across copies: one table row per distinct step holds its same-line
+    # tokens within the window, left-aligned and padded to the window.
     # A padded cdf entry of inf is never <= a uniform draw, so counting the
     # entries <= u is searchsorted(cdf, u, side="right"), which is how
     # numpy's `choice` turns one draw into an index.
-    distinct = sorted(set(traj.steps))
-    width = 2 * window + 1
-    cands = np.zeros((len(distinct), width), dtype=np.int64)
-    log_p = np.zeros((len(distinct), width))
-    cdf = np.full((len(distinct), width), np.inf)
-    for row, s in enumerate(distinct):
-        line = snippet.tokens[s].line
-        cs = [i for i in range(max(0, s - window), min(n, s + window + 1))
-              if snippet.tokens[i].line == line]
-        d = np.array([i - s for i in cs], dtype=np.float64)
-        w = np.exp(-(d * d) / (2.0 * sigma_tokens ** 2))
-        p = w / w.sum()
-        c = p.cumsum()
-        cands[row, :len(cs)] = cs
-        with np.errstate(divide="ignore"):  # a zero-probability slot is never drawn
-            log_p[row, :len(cs)] = np.log(p)
-        cdf[row, :len(cs)] = c / c[-1]
+    lines = np.array([tok.line for tok in snippet.tokens])
+    distinct = np.array(sorted(set(traj.steps)))  # np.unique would import numpy.ma
     rows = np.searchsorted(distinct, traj.steps)
+    near = distinct[:, None] + np.arange(-window, window + 1)
+    ok = (near >= 0) & (near < n)
+    ok &= lines[near.clip(0, n - 1)] == lines[distinct][:, None]
+    order = np.argsort(~ok, axis=1, kind="stable")
+    cands = np.take_along_axis(np.where(ok, near, 0), order, axis=1)
+    ok = np.take_along_axis(ok, order, axis=1)
+    count = ok.sum(axis=1)
+    d = (cands - distinct[:, None]).astype(np.float64)
+    w = np.where(ok, np.exp(-(d * d) / (2.0 * sigma_tokens ** 2)), 0.0)
+    # numpy's pairwise summation groups terms by a vector's length, so each
+    # row is summed over its own candidates only: its total is then the
+    # same float as that of the step's candidates summed alone.
+    total = np.empty(len(distinct))
+    for size in set(count.tolist()):
+        total[count == size] = w[count == size, :size].sum(axis=1)
+    p = w / total[:, None]
+    c = p.cumsum(axis=1)
+    cdf = np.where(ok, c / c[np.arange(len(distinct)), count - 1][:, None], np.inf)
+    with np.errstate(divide="ignore"):  # a zero-probability slot is never drawn
+        log_p = np.where(ok, np.log(p), 0.0)
 
-    copies: list[list[int]] = []
-    log_joints = np.empty(m)
-    for i in range(m):
-        u = rng.random(len(rows))
-        k = np.count_nonzero(cdf[rows] <= u[:, None], axis=1)
-        copies.append(merge_consecutive(cands[rows, k].tolist()))
-        log_joints[i] = log_p[rows, k].sum()
+    # One (m, steps) draw is the same stream as m draws of one row each.
+    u = rng.random((m, len(rows)))
+    k = np.count_nonzero(cdf[rows] <= u[:, :, None], axis=2)
+    drawn = cands[rows, k]
+    log_joints = log_p[rows, k].sum(axis=1)
+    moved = np.ones(drawn.shape, dtype=bool)  # merge_consecutive of each copy
+    moved[:, 1:] = drawn[:, 1:] != drawn[:, :-1]
+    copies = [row[keep].tolist() for row, keep in zip(drawn, moved)]
 
     joints = np.exp(log_joints - log_joints.max())
     weights = 0.5 * joints / joints.sum()
@@ -183,30 +233,70 @@ def augment(traj: Trajectory, snippet: Snippet, sigma_tokens: float, m: int,
 # ---------------------------------------------------------------------------
 # File formats
 
+FIXATION_COLUMNS = ("t_ms", "x_px", "y_px", "dur_ms")
+
+
 def read_fixations_csv(path: str | os.PathLike) -> list[Fixation]:
+    """Fixations sorted by onset; blank lines are skipped.
+
+    Raises GazeFileError, naming `path:line`, on a row whose field count
+    differs from the header's or whose fixation field is not a finite number.
+    """
     fixations = []
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        required = {"t_ms", "x_px", "y_px", "dur_ms"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"fixation file {path}: header must contain t_ms,x_px,y_px,dur_ms")
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or not set(FIXATION_COLUMNS).issubset(header):
+            raise GazeFileError(f"fixation file {path}: header must contain "
+                                f"{','.join(FIXATION_COLUMNS)}")
+        columns = [header.index(name) for name in FIXATION_COLUMNS]
         for row in reader:
-            fixations.append(Fixation(float(row["t_ms"]), float(row["x_px"]),
-                                      float(row["y_px"]), float(row["dur_ms"])))
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise GazeFileError(f"{path}:{reader.line_num}: {len(row)} fields, "
+                                    f"the header has {len(header)}")
+            values = []
+            for name, col in zip(FIXATION_COLUMNS, columns):
+                try:
+                    value = float(row[col])
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise GazeFileError(f"{path}:{reader.line_num}: {name} {row[col]!r} "
+                                        f"is not a finite number")
+                values.append(value)
+            fixations.append(Fixation(*values))
     fixations.sort(key=lambda fx: fx.t_ms)
     return fixations
 
 
+def write_fixations_csv(fixations: list[Fixation], path: str | os.PathLike) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(FIXATION_COLUMNS) + "\n")
+        for fx in fixations:
+            f.write(f"{fx.t_ms},{fx.x_px},{fx.y_px},{fx.dur_ms}\n")
+
+
+LAYOUT_REQUIRED = ("origin_x_px", "origin_y_px", "char_width_px", "line_height_px")
+
+
 def load_layout(path: str | os.PathLike) -> LayoutSpec:
+    """A JSON object of LayoutSpec's fields; all but `tab_width` are required."""
     with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
-    return LayoutSpec(
-        origin_x_px=float(obj["origin_x_px"]),
-        origin_y_px=float(obj["origin_y_px"]),
-        char_width_px=float(obj["char_width_px"]),
-        line_height_px=float(obj["line_height_px"]),
-        tab_width=int(obj.get("tab_width", 4)),
-    )
+        try:
+            obj = json.load(f)
+        except json.JSONDecodeError as e:
+            raise GazeFileError(f"layout {path}: invalid JSON: {e}") from e
+    types = field_types(LayoutSpec)
+    try:
+        check_json_object(obj, types, "layout")
+    except ValueError as e:
+        raise GazeFileError(f"layout {path}: {e}") from e
+    missing = [key for key in LAYOUT_REQUIRED if key not in obj]
+    if missing:
+        raise GazeFileError(f"layout {path}: missing keys {missing}")
+    return LayoutSpec(**{key: types[key](value) for key, value in obj.items()})
 
 
 def trajectory_to_obj(traj: Trajectory) -> dict:

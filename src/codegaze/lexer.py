@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -60,6 +61,7 @@ class Snippet:
 PUNCT_CHARS = set("()[]{},;:")
 OPERATOR_CHARS = set("+-*/=<>!&|%^~.?@$\\")
 COMMENT_MARKERS = ("//", "#")
+_MARKER_STARTS = frozenset(m[0] for m in COMMENT_MARKERS)
 
 
 def _expand_tabs(line: str, tab_width: int) -> str:
@@ -80,7 +82,9 @@ def tokenize(source: str, keyword_set: set[str] | frozenset[str] = frozenset(),
             if ch.isspace():
                 i += 1
                 continue
-            marker = next((m for m in COMMENT_MARKERS if line.startswith(m, i)), None)
+            marker = None
+            if ch in _MARKER_STARTS:
+                marker = next((m for m in COMMENT_MARKERS if line.startswith(m, i)), None)
             if marker is not None:
                 body_start = i + len(marker)
                 j = body_start
@@ -174,3 +178,24 @@ def attach_labels(corpus: dict[str, Snippet], labels: dict[str, dict[LabelKind, 
             snippet.task = TaskLabel(LabelKind.BUG, kinds[LabelKind.BUG])
         else:
             snippet.task = TaskLabel(LabelKind.CLASS, kinds[LabelKind.CLASS])
+
+
+def check_json_object(obj, types: dict[str, type], what: str) -> None:
+    """Raises ValueError unless `obj` is a dict from keys of `types` to values
+    of their types; an int passes for a float, a bool or a float not for an int."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(types))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
+    for key, value in obj.items():
+        want = types[key]
+        if type(value) is not want and not (want is float and type(value) is int):
+            raise ValueError(f"{what} key {key!r} must be {want.__name__}, "
+                             f"not {type(value).__name__}")
+
+
+def field_types(cls) -> dict[str, type]:
+    """Each field of dataclass `cls` mapped to its annotated type."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}

@@ -67,30 +67,32 @@ class BCConfig:
             raise ValueError("classify mode needs n_classes >= 2")
 
 
+def param_shapes(d_feat: int, cfg: BCConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the order `init_params` draws them."""
+    shapes = {"W_in": (d_feat, cfg.d_emb)}
+    for prefix in ("enc", "dec"):
+        for g in "zrh":
+            shapes[f"{prefix}_W{g}"] = (cfg.d_emb, cfg.d_hidden)
+            shapes[f"{prefix}_U{g}"] = (cfg.d_hidden, cfg.d_hidden)
+            shapes[f"{prefix}_b{g}"] = (cfg.d_hidden,)
+    shapes["W1"] = (cfg.d_hidden, cfg.d_attn)
+    shapes["W2"] = (cfg.d_hidden, cfg.d_attn)
+    shapes["v"] = (cfg.d_attn,)
+    shapes["b_a"] = (cfg.d_attn,)
+    shapes["e_stop"] = (cfg.d_hidden,)
+    shapes["x_start"] = (cfg.d_emb,)
+    if cfg.task_mode == TASK_CLASSIFY:
+        shapes["W_task"] = (cfg.d_hidden, cfg.n_classes)
+    elif cfg.task_mode == TASK_LOCALIZE:
+        shapes["v_loc"] = (cfg.d_attn,)
+    return shapes
+
+
 def init_params(d_feat: int, cfg: BCConfig) -> dict[str, Var]:
     """All tensors uniform in [-INIT_RANGE, INIT_RANGE] from the run seed."""
     rng = np.random.default_rng(cfg.seed)
-
-    def u(*shape):
-        return Var(rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape))
-
-    p: dict[str, Var] = {"W_in": u(d_feat, cfg.d_emb)}
-    for prefix in ("enc", "dec"):
-        for g in "zrh":
-            p[f"{prefix}_W{g}"] = u(cfg.d_emb, cfg.d_hidden)
-            p[f"{prefix}_U{g}"] = u(cfg.d_hidden, cfg.d_hidden)
-            p[f"{prefix}_b{g}"] = u(cfg.d_hidden)
-    p["W1"] = u(cfg.d_hidden, cfg.d_attn)
-    p["W2"] = u(cfg.d_hidden, cfg.d_attn)
-    p["v"] = u(cfg.d_attn)
-    p["b_a"] = u(cfg.d_attn)
-    p["e_stop"] = u(cfg.d_hidden)
-    p["x_start"] = u(cfg.d_emb)
-    if cfg.task_mode == TASK_CLASSIFY:
-        p["W_task"] = u(cfg.d_hidden, cfg.n_classes)
-    elif cfg.task_mode == TASK_LOCALIZE:
-        p["v_loc"] = u(cfg.d_attn)
-    return p
+    return {name: Var(rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape))
+            for name, shape in param_shapes(d_feat, cfg).items()}
 
 
 def _arrays(p: dict) -> dict[str, np.ndarray]:

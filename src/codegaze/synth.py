@@ -98,14 +98,38 @@ def gen_source(cfg: GeneratorConfig, index: int) -> tuple[str, int, int | None]:
     return source, cls, bug_index
 
 
-def gen_snippet(cfg: GeneratorConfig, index: int) -> Snippet:
-    source, cls, bug_index = gen_source(cfg, index)
+def lex_snippet(cfg: GeneratorConfig, index: int, source: str, cls: int,
+                bug_index: int | None) -> Snippet:
+    """The snippet of `gen_source(cfg, index)`'s results: its tokens and task label."""
     snippet = tokenize(source, cfg.keyword_set(), snippet_id=snippet_id(index))
     if bug_index is not None:
         snippet.task = TaskLabel(LabelKind.BUG, bug_index)
     else:
         snippet.task = TaskLabel(LabelKind.CLASS, cls)
     return snippet
+
+
+def gen_snippet(cfg: GeneratorConfig, index: int) -> Snippet:
+    return lex_snippet(cfg, index, *gen_source(cfg, index))
+
+
+def write_source(corpus_dir: Path, index: int, source: str) -> None:
+    (corpus_dir / f"{snippet_id(index)}.txt").write_text(source + "\n", encoding="utf-8")
+
+
+def label_rows(index: int, cls: int, bug_index: int | None) -> list[tuple[str, str, int]]:
+    """The labels CSV rows of one snippet: its class, then its bug if it has one."""
+    rows = [(snippet_id(index), "class", cls)]
+    if bug_index is not None:
+        rows.append((snippet_id(index), "bug", bug_index))
+    return rows
+
+
+def write_labels(labels_path: str | os.PathLike, rows: list[tuple[str, str, int]]) -> None:
+    with open(labels_path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["snippet_id", "kind", "value"])
+        writer.writerows(rows)
 
 
 def write_corpus(cfg: GeneratorConfig, corpus_dir: str | os.PathLike,
@@ -116,15 +140,9 @@ def write_corpus(cfg: GeneratorConfig, corpus_dir: str | os.PathLike,
     rows = []
     for index in range(cfg.n_snippets):
         source, cls, bug_index = gen_source(cfg, index)
-        sid = snippet_id(index)
-        (corpus_dir / f"{sid}.txt").write_text(source + "\n", encoding="utf-8")
-        rows.append((sid, "class", cls))
-        if bug_index is not None:
-            rows.append((sid, "bug", bug_index))
-    with open(labels_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["snippet_id", "kind", "value"])
-        writer.writerows(rows)
+        write_source(corpus_dir, index, source)
+        rows += label_rows(index, cls, bug_index)
+    write_labels(labels_path, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -28,7 +28,7 @@ from . import policy
 from .autodiff import Var
 from .features import FeatureSpec, Vocab, build_vocab, featurize, load_embedding_table
 from .gaze import Trajectory, check_steps
-from .lexer import LabelKind, Snippet
+from .lexer import LabelKind, Snippet, check_json_object, field_types
 
 FORMAT_VERSION = 1
 FLOAT_ENCODING = "shortest-roundtrip-decimal"
@@ -239,28 +239,56 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
         f.write("\n")
 
 
-def check_json_object(obj, types: dict[str, type], what: str) -> None:
-    """Raises ValueError unless `obj` is a dict from keys of `types` to values
-    of their types; an int passes for a float, a bool or a float not for an int."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(types))
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}")
-    for key, value in obj.items():
-        want = types[key]
-        if type(value) is not want and not (want is float and type(value) is int):
-            raise ValueError(f"{what} key {key!r} must be {want.__name__}, "
-                             f"not {type(value).__name__}")
-
-
-def _dataclass_from_obj(cls, obj, what: str, path):
-    hints = typing.get_type_hints(cls)
+def _dataclass_from_obj(cls, obj, what: str):
+    check_json_object(obj, field_types(cls), what)
     try:
-        check_json_object(obj, {f.name: hints[f.name] for f in fields(cls)}, what)
         return cls(**obj)
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"checkpoint {path}: invalid {what}: {e}") from e
+    except TypeError as e:  # a missing required field
+        raise ValueError(str(e)) from e
+
+
+def _vocab_from_obj(obj) -> Vocab:
+    check_json_object(obj, {"ids": dict, "min_count": int}, "vocab")
+    if set(obj) != {"ids", "min_count"}:
+        raise ValueError("vocab must have ids and min_count")
+    ids = obj["ids"]
+    check_json_object(ids, dict.fromkeys(ids, int), "vocab ids")
+    if sorted(ids.values()) != list(range(len(ids))):
+        raise ValueError(f"vocab ids must number the {len(ids)} tokens from 0")
+    return Vocab(**obj)
+
+
+def _params_from_obj(obj, cfg: policy.BCConfig, spec: FeatureSpec,
+                     vocab: Vocab) -> dict[str, np.ndarray]:
+    """The parameter arrays, which must have the shapes `policy.param_shapes`
+    gives for the checkpoint's config and feature width."""
+    check_json_object(obj, dict.fromkeys(obj, dict) if isinstance(obj, dict) else {}, "params")
+    params = {}
+    for name, entry in obj.items():
+        check_json_object(entry, {"shape": list, "data": list}, f"parameter {name!r}")
+        shape = entry.get("shape", [None])
+        if "data" not in entry or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"parameter {name!r} needs data and a shape of non-negative ints")
+        try:
+            data = np.array(entry["data"], dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"parameter {name!r}: {e}") from e
+        if data.ndim != 1 or data.size != math.prod(shape):
+            raise ValueError(f"parameter {name!r} has {data.size} values for shape {shape}")
+        params[name] = data.reshape(shape)
+    expected = policy.param_shapes(0, cfg)
+    missing, unknown = sorted(set(expected) - set(params)), sorted(set(params) - set(expected))
+    if missing or unknown:
+        raise ValueError(f"missing parameters {missing}, unknown parameters {unknown}")
+    if spec.mode == "external":  # the table's width is known only from its file
+        d_feat = (params["W_in"].shape or (0,))[0]
+    else:
+        d_feat = spec.dim(vocab)
+    for name, shape in policy.param_shapes(d_feat, cfg).items():
+        if params[name].shape != shape:
+            raise ValueError(f"parameter {name!r} has shape {list(params[name].shape)}, "
+                             f"expected {list(shape)}")
+    return params
 
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
@@ -269,22 +297,24 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
             obj = json.load(f)
         except json.JSONDecodeError as e:
             raise CheckpointError(f"checkpoint {path}: invalid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"checkpoint {path}: must be a JSON object")
     if obj.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint {path}: format_version {obj.get('format_version')} "
             f"not supported (expected {FORMAT_VERSION})")
-    params = {}
-    for name, entry in obj["params"].items():
-        shape = tuple(entry["shape"])
-        data = np.array(entry["data"], dtype=np.float64)
-        expected = int(np.prod(shape)) if shape else 1
-        if data.size != expected:
-            raise CheckpointError(
-                f"checkpoint {path}: parameter {name!r} has {data.size} values "
-                f"for shape {list(shape)}")
-        params[name] = data.reshape(shape)
-    vocab = Vocab(ids=dict(obj["vocab"]["ids"]), min_count=obj["vocab"]["min_count"])
-    cfg = _dataclass_from_obj(policy.BCConfig, obj["config"], "config", path)
-    spec = _dataclass_from_obj(FeatureSpec, obj["feature_spec"], "feature_spec", path)
+
+    def section(name: str, parse):
+        if name not in obj:
+            raise CheckpointError(f"checkpoint {path}: missing {name}")
+        try:
+            return parse(obj[name])
+        except ValueError as e:
+            raise CheckpointError(f"checkpoint {path}: invalid {name}: {e}") from e
+
+    cfg = section("config", lambda o: _dataclass_from_obj(policy.BCConfig, o, "config"))
+    spec = section("feature_spec", lambda o: _dataclass_from_obj(FeatureSpec, o, "feature_spec"))
+    vocab = section("vocab", _vocab_from_obj)
+    params = section("params", lambda o: _params_from_obj(o, cfg, spec, vocab))
     return Checkpoint(config=cfg, vocab=vocab, feature_spec=spec, params=params,
                       epoch_log=obj.get("epoch_log", []))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import filecmp
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import codegaze
+from codegaze import synth
 from codegaze.cli import DEFAULTS, build_parser, main
 
 
@@ -357,3 +359,147 @@ def test_ingest_lexes_with_the_layouts_tab_width(tmp_path):
 def test_synth_layout_records_tab_width(tmp_path):
     assert run_cli(*synth_args(tmp_path, tab_width=8)) == 0
     assert json.loads((tmp_path / "layout.json").read_text())["tab_width"] == 8
+
+
+def ingest_args(root: Path) -> list[str]:
+    return ["ingest", "--corpus-dir", str(root / "corpus"), "--gaze-dir", str(root / "gaze"),
+            "--layout", str(root / "layout.json"), "--out", str(root / "traj.jsonl")]
+
+
+@pytest.mark.parametrize("row,message", [
+    ("0,10,20", "3 fields, the header has 4"),
+    ("0,10,20,100,7", "5 fields, the header has 4"),
+    ("0,abc,20,100", "x_px 'abc' is not a finite number"),
+    ("0,10,inf,100", "y_px 'inf' is not a finite number"),
+])
+def test_bad_fixation_row_is_data_error(tmp_path, capsys, row, message):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    gaze_file = tmp_path / "gaze" / "snip0003.csv"
+    gaze_file.write_text(gaze_file.read_text() + row + "\n")
+    line = len(gaze_file.read_text().splitlines())
+    capsys.readouterr()
+    assert run_cli(*ingest_args(tmp_path)) == 2
+    assert one_error_line(capsys) == f"error: {gaze_file}:{line}: {message}"
+
+
+@pytest.mark.parametrize("layout,message", [
+    ([20.0, 20.0, 9.0, 18.0], "layout must be a JSON object, not list"),
+    ({"origin_x_px": "x"}, "layout key 'origin_x_px' must be float, not str"),
+    ({"tab_width": 8.5}, "layout key 'tab_width' must be int, not float"),
+    ({"origin_x_px": None}, "missing keys ['origin_x_px']"),
+])
+def test_bad_layout_is_data_error(tmp_path, capsys, layout, message):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    path = tmp_path / "layout.json"
+    if isinstance(layout, dict):
+        obj = json.loads(path.read_text())
+        obj.update(layout)
+        layout = {k: v for k, v in obj.items() if v is not None}
+    path.write_text(json.dumps(layout))
+    capsys.readouterr()
+    assert run_cli(*ingest_args(tmp_path)) == 2
+    assert message in one_error_line(capsys)
+
+
+def _drop_params(obj):
+    del obj["params"]
+
+
+def _resize_w1(obj):
+    obj["params"]["W1"]["shape"] = [4, 2, 2]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda obj: obj["vocab"].update(ids=list(obj["vocab"]["ids"])),
+     "invalid vocab: vocab key 'ids' must be dict, not list"),
+    (lambda obj: obj["vocab"]["ids"].update({"<unk>": "0"}),
+     "invalid vocab: vocab ids key '<unk>' must be int, not str"),
+    (lambda obj: obj["vocab"]["ids"].update({"<unk>": 99}),
+     "invalid vocab: vocab ids must number the"),
+    (lambda obj: obj["params"]["v"].update(shape="4"),
+     "invalid params: parameter 'v' key 'shape' must be list, not str"),
+    (_drop_params, "missing params"),
+    (_resize_w1, "invalid params: parameter 'W1' has shape [4, 2, 2], expected [4, 4]"),
+    (lambda obj: obj["params"]["W_in"]["shape"].reverse(),
+     "invalid params: parameter 'W_in' has shape"),
+    (lambda obj: obj["params"].update(extra={"shape": [1], "data": [0.0]}),
+     "invalid params: missing parameters [], unknown parameters ['extra']"),
+    (lambda obj: obj["params"]["v"].update(data=["x"] * 4),
+     "invalid params: parameter 'v': could not convert string to float"),
+])
+def test_checkpoint_with_bad_vocab_or_params_is_data_error(tmp_path, capsys, corrupt,
+                                                          message):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    assert train_small(tmp_path, tmp_path / "demos.jsonl") == 0
+    ckpt = tmp_path / "ckpt.json"
+    obj = json.loads(ckpt.read_text())
+    corrupt(obj)
+    ckpt.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli("rollout", "--checkpoint", str(ckpt),
+                   "--corpus-dir", str(tmp_path / "corpus"), "--snippet", "snip0003") == 2
+    assert message in one_error_line(capsys)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_synth_generates_and_lexes_each_snippet_once(tmp_path, monkeypatch):
+    calls = {"gen_source": 0, "tokenize": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(synth, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(synth, name, counted)
+    assert run_cli(*synth_args(tmp_path)) == 0
+    assert calls == {"gen_source": 12, "tokenize": 12}
+
+
+def tree_digest(path: Path) -> str:
+    """SHA-256 of a file, or of a directory's relative paths and file bytes."""
+    h = hashlib.sha256()
+    for p in sorted(path.rglob("*")) if path.is_dir() else [path]:
+        if p.is_file():
+            h.update(p.relative_to(path).as_posix().encode() + b"\0" + p.read_bytes())
+    return h.hexdigest()
+
+
+def augmented_digest(path: Path) -> str:
+    """SHA-256 of an augment output with its weights cut to 12 digits: numpy's
+    exp and log may round their last bit differently on another CPU."""
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    for row in rows:
+        row["weight"] = float(f"{row['weight']:.12g}")
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+# SHA-256 of each output of the run below, as the per-fixation and
+# per-step implementations of synth/ingest/augment wrote them: batching
+# must not change a byte.
+GOLDEN = {
+    "corpus": "5f145ba285b06cf804b61610c09b2715f8727a9397f58c9db6ea72781b22d054",
+    "labels.csv": "a11ae1626052f79cf991a18418b683deb3a65ea3414cea08703021efc8a7cba6",
+    "demos.jsonl": "24362c069bd61df739fbce3043d7a014771d041aaa7287a14a92e533dea317e4",
+    "gaze": "c473ae239b23ad1cdfab9b3b69758081a4aeaf0d77af022706891c4d147d38b7",
+    "layout.json": "ab3f870195bb711b3514748224ee2d773ca3e294cd36026ad30511dd76a25478",
+    "traj.jsonl": "6edc561f08f682aafbbb4c4b4fc2168fbd62489f757ae1311e714882f1b45a21",
+    "aug.jsonl": "b056ee67f1afa2f2fe820ded9fc651e462d271ac0527976d56a9451785353654",
+}
+
+
+def test_synth_ingest_augment_outputs_match_golden_hashes(tmp_path):
+    root = tmp_path
+    corpus = ["--corpus-dir", str(root / "corpus")]
+    assert run_cli("synth", "--seed", "5", "--n-snippets", "16", "--lines-min", "2",
+                   "--lines-max", "6", "--expert", "bug_seeker", "--bug-rate", "1.0",
+                   "--labels", str(root / "labels.csv"), "--out", str(root / "demos.jsonl"),
+                   "--gaze-dir", str(root / "gaze"), "--layout", str(root / "layout.json"),
+                   *corpus) == 0
+    assert run_cli(*ingest_args(root)) == 0
+    assert run_cli("augment", "--trajectories", str(root / "traj.jsonl"),
+                   "--out", str(root / "aug.jsonl"), "--m", "3", "--sigma-tokens", "2.5",
+                   "--seed", "5", *corpus) == 0
+    digests = {name: tree_digest(root / name) for name in GOLDEN}
+    digests["aug.jsonl"] = augmented_digest(root / "aug.jsonl")
+    assert digests == GOLDEN

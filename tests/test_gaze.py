@@ -1,16 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codegaze import synth
-from codegaze.gaze import (EmptyTrajectoryError, Fixation, LayoutSpec, StepRangeError,
-                           Trajectory, augment, build_trajectory, map_fixation,
-                           merge_consecutive, read_fixations_csv,
-                           read_trajectories_jsonl, token_box, write_trajectories_jsonl)
-from codegaze.lexer import tokenize
+from codegaze import gaze, synth
+from codegaze.gaze import (EmptyTrajectoryError, Fixation, GazeFileError, LayoutSpec,
+                           StepRangeError, Trajectory, augment, build_trajectory, load_layout,
+                           map_fixation, map_fixations, merge_consecutive, read_fixations_csv,
+                           read_trajectories_jsonl, token_box, write_fixations_csv,
+                           write_trajectories_jsonl)
+from codegaze.lexer import Snippet, tokenize
 
 LAYOUT = LayoutSpec(origin_x_px=20, origin_y_px=20, char_width_px=9,
                     line_height_px=18, tab_width=4)
@@ -69,6 +71,122 @@ def test_matches_brute_force_oracle():
         fix = Fixation(0, rng.uniform(-50, 400), rng.uniform(-50, 150), 100)
         radius = rng.uniform(0, 60)
         assert map_fixation(fix, LAYOUT, sn, radius) == brute_force_map(fix, LAYOUT, sn, radius)
+
+
+def scan_map(fix, layout, snippet, radius_px):
+    """The per-fixation scan `map_fixations` replaced: boxes in token order,
+    the first containing box wins, else the nearest centre by math.hypot."""
+    best_idx = None
+    best_dist = math.inf
+    for i, tok in enumerate(snippet.tokens):
+        x0 = layout.origin_x_px + tok.col_start * layout.char_width_px
+        x1 = layout.origin_x_px + tok.col_end * layout.char_width_px
+        y0 = layout.origin_y_px + tok.line * layout.line_height_px
+        y1 = y0 + layout.line_height_px
+        if x0 <= fix.x_px < x1 and y0 <= fix.y_px < y1:
+            return i
+        d = math.hypot(fix.x_px - (x0 + x1) / 2.0, fix.y_px - (y0 + y1) / 2.0)
+        if d < best_dist:
+            best_dist = d
+            best_idx = i
+    if best_idx is not None and best_dist <= radius_px:
+        return best_idx
+    return None
+
+
+def scan_nearest_distance(fix, layout, snippet):
+    return min(math.hypot(fix.x_px - (x0 + x1) / 2.0, fix.y_px - (y0 + y1) / 2.0)
+               for x0, y0, x1, y1 in (token_box(layout, t) for t in snippet.tokens))
+
+
+def parity_snippets():
+    gen = synth.GeneratorConfig(seed=8, n_snippets=6, lines_min=2, lines_max=9)
+    return [sample_snippet(), tokenize("a\tb   c\n\n  dd = e  # note\nf", tab_width=8)] + \
+        [synth.gen_snippet(gen, i) for i in range(6)]
+
+
+def assert_scan_parity(fixes, snippet, radius_px, layout=LAYOUT):
+    got = map_fixations(fixes, layout, snippet, radius_px)
+    assert got == [scan_map(f, layout, snippet, radius_px) for f in fixes]
+
+
+def test_map_fixations_matches_scan_on_random_fixations():
+    rng = np.random.default_rng(12)
+    layout = LayoutSpec(origin_x_px=13.25, origin_y_px=7.5, char_width_px=8.4,
+                        line_height_px=17.3)
+    for sn in parity_snippets():
+        for lay in (LAYOUT, layout):
+            fixes = [Fixation(0, x, y, 100) for x, y in
+                     zip(rng.uniform(-60, 500, 400), rng.uniform(-60, 250, 400))]
+            for radius in (0.0, 7.5, 40.0, math.inf):
+                assert_scan_parity(fixes, sn, radius, lay)
+
+
+def test_map_fixations_matches_scan_at_exactly_the_radius():
+    # radius = the scan's own nearest distance: the last bit decides, and
+    # np.hypot differs from math.hypot in it for some points
+    rng = np.random.default_rng(13)
+    for sn in parity_snippets():
+        for x, y in zip(rng.uniform(-60, 500, 300), rng.uniform(-60, 250, 300)):
+            fix = Fixation(0, x, y, 100)
+            radius = scan_nearest_distance(fix, LAYOUT, sn)
+            for r in (radius, np.nextafter(radius, 0.0)):
+                assert map_fixation(fix, LAYOUT, sn, r) == scan_map(fix, LAYOUT, sn, r)
+    # a 5-12-13 triangle to the first token's centre (33.5, 29)
+    sn = sample_snippet()
+    fix = Fixation(0, 38.5, 17.0, 100)
+    assert map_fixation(fix, LAYOUT, sn, 13.0) == 0 == scan_map(fix, LAYOUT, sn, 13.0)
+    assert map_fixation(fix, LAYOUT, sn, 12.999) is None
+
+
+def test_map_fixations_matches_scan_on_box_edges():
+    for sn in parity_snippets():
+        fixes = []
+        for tok in sn.tokens:
+            x0, y0, x1, y1 = token_box(LAYOUT, tok)
+            for x in (x0, x1, np.nextafter(x0, -math.inf), np.nextafter(x1, -math.inf)):
+                for y in (y0, y1, (y0 + y1) / 2, np.nextafter(y1, -math.inf)):
+                    fixes.append(Fixation(0, float(x), float(y), 100))
+        for radius in (0.0, 4.5, 30.0):
+            assert_scan_parity(fixes, sn, radius)
+
+
+def test_map_fixations_matches_scan_between_equidistant_centres():
+    for sn in parity_snippets():
+        centres = [((x0 + x1) / 2, (y0 + y1) / 2)
+                   for x0, y0, x1, y1 in (token_box(LAYOUT, t) for t in sn.tokens)]
+        fixes = [Fixation(0, (a[0] + b[0]) / 2, (a[1] + b[1]) / 2 - dy, 100)
+                 for i, a in enumerate(centres) for b in centres[i + 1:]
+                 for dy in (0.0, 9.0, 30.0)]
+        for radius in (0.0, 9.0, math.inf):
+            assert_scan_parity(fixes, sn, radius)
+
+
+def test_map_fixations_non_finite_points_map_to_none():
+    sn = sample_snippet()
+    fixes = [Fixation(0, math.nan, 29.0, 100), Fixation(0, math.inf, 29.0, 100),
+             Fixation(0, 24.5, -math.inf, 100), Fixation(0, 24.5, 29.0, 100)]
+    assert map_fixations(fixes, LAYOUT, sn, math.inf) == [None, None, None, 0]
+    assert_scan_parity(fixes, sn, math.inf)
+
+
+def test_map_fixations_of_nothing():
+    sn = sample_snippet()
+    assert map_fixations([], LAYOUT, sn, 30.0) == []
+    empty = tokenize("")
+    fixes = [Fixation(0, 24.5, 29.0, 100), Fixation(0, math.nan, 0.0, 100)]
+    assert map_fixations(fixes, LAYOUT, empty, math.inf) == [None, None]
+    assert_scan_parity(fixes, empty, math.inf)
+
+
+def test_map_fixations_blocks_agree(monkeypatch):
+    rng = np.random.default_rng(14)
+    sn = parity_snippets()[-1]
+    fixes = [Fixation(0, x, y, 100) for x, y in
+             zip(rng.uniform(-60, 500, 500), rng.uniform(-60, 250, 500))]
+    whole = map_fixations(fixes, LAYOUT, sn, 25.0)
+    monkeypatch.setattr(gaze, "MAP_BLOCK_CELLS", 3 * len(sn.tokens) + 1)
+    assert map_fixations(fixes, LAYOUT, sn, 25.0) == whole
 
 
 def test_negative_radius_rejected():
@@ -204,6 +322,63 @@ def test_augment_matches_choice_reference():
             assert [t.weight for t in out[1:]] == pytest.approx(weights, rel=1e-12, abs=1e-300)
 
 
+def loop_augment(traj, snippet, sigma_tokens, m, seed):
+    """`augment` as it was with one table row per distinct step built in a
+    loop and one draw per copy; returns (copies, weights) of the m copies."""
+    rng = np.random.default_rng(seed)
+    window = math.ceil(2.0 * sigma_tokens)
+    n = len(snippet.tokens)
+    distinct = sorted(set(traj.steps))
+    width = 2 * window + 1
+    cands = np.zeros((len(distinct), width), dtype=np.int64)
+    log_p = np.zeros((len(distinct), width))
+    cdf = np.full((len(distinct), width), np.inf)
+    for row, s in enumerate(distinct):
+        line = snippet.tokens[s].line
+        cs = [i for i in range(max(0, s - window), min(n, s + window + 1))
+              if snippet.tokens[i].line == line]
+        d = np.array([i - s for i in cs], dtype=np.float64)
+        w = np.exp(-(d * d) / (2.0 * sigma_tokens ** 2))
+        p = w / w.sum()
+        c = p.cumsum()
+        cands[row, :len(cs)] = cs
+        with np.errstate(divide="ignore"):
+            log_p[row, :len(cs)] = np.log(p)
+        cdf[row, :len(cs)] = c / c[-1]
+    rows = np.searchsorted(distinct, traj.steps)
+    copies = []
+    log_joints = np.empty(m)
+    for i in range(m):
+        u = rng.random(len(rows))
+        k = np.count_nonzero(cdf[rows] <= u[:, None], axis=1)
+        copies.append(merge_consecutive(cands[rows, k].tolist()))
+        log_joints[i] = log_p[rows, k].sum()
+    joints = np.exp(log_joints - log_joints.max())
+    return copies, (0.5 * joints / joints.sum()).tolist()
+
+
+def test_augment_matches_loop_reference_exactly():
+    gen = synth.GeneratorConfig(seed=6, n_snippets=8, lines_min=2, lines_max=12)
+    # long lines give rows of 8+ candidates, which numpy sums pairwise
+    wide = tokenize("\n".join(" ".join(f"v{i}_{j}" for j in range(40)) for i in range(3)))
+    shuffled = sample_snippet()
+    shuffled = Snippet("shuffled", [shuffled.tokens[i] for i in
+                                    np.random.default_rng(0).permutation(len(shuffled.tokens))], 2)
+    cases = [(synth.gen_snippet(gen, i), None) for i in range(8)] + [(wide, 60), (shuffled, 30)]
+    rng = np.random.default_rng(15)
+    for sn, length in cases:
+        trajs = [synth.linear_reader(sn)] if length is None else []
+        trajs.append(Trajectory(sn.id, rng.integers(0, len(sn.tokens), length or 25).tolist()))
+        for traj in trajs:
+            for sigma in (0.3, 1.0, 2.5, 4.5):
+                for m in range(1, 7):
+                    seed = int(rng.integers(0, 2 ** 31))
+                    out = augment(traj, sn, sigma, m, seed)
+                    copies, weights = loop_augment(traj, sn, sigma, m, seed)
+                    assert [t.steps for t in out[1:]] == copies
+                    assert [t.weight for t in out[1:]] == weights
+
+
 @pytest.fixture(scope="module")
 def long_snippet():
     # 120 lines of 721 tokens: a full read's joint probability underflows a float
@@ -243,6 +418,56 @@ def test_fixation_csv_header_checked(tmp_path):
     path.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
         read_fixations_csv(path)
+
+
+def test_fixation_csv_columns_by_header_position(tmp_path):
+    path = tmp_path / "gaze.csv"
+    path.write_text("dur_ms,pupil,y_px,t_ms,x_px\n120,3,40,100,30.5\n\n80,2,20,0,10\n",
+                    encoding="utf-8")
+    assert read_fixations_csv(path) == [Fixation(0, 10, 20, 80), Fixation(100, 30.5, 40, 120)]
+    out = tmp_path / "out.csv"
+    write_fixations_csv(read_fixations_csv(path), out)
+    assert out.read_text() == "t_ms,x_px,y_px,dur_ms\n0.0,10.0,20.0,80.0\n100.0,30.5,40.0,120.0\n"
+
+
+@pytest.mark.parametrize("row,message", [
+    ("0,10,20", "3 fields, the header has 4"),
+    ("0,10,20,100,5", "5 fields, the header has 4"),
+    ("0,abc,20,100", "x_px 'abc' is not a finite number"),
+    ("0,10,nan,100", "y_px 'nan' is not a finite number"),
+    ("0,10,20,-inf", "dur_ms '-inf' is not a finite number"),
+])
+def test_fixation_csv_bad_rows_name_the_line(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t_ms,x_px,y_px,dur_ms\n0,1,2,100\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(GazeFileError) as info:
+        read_fixations_csv(path)
+    assert str(info.value) == f"{path}:4: {message}"
+
+
+def test_layout_defaults_tab_width_and_converts_ints(tmp_path):
+    path = tmp_path / "layout.json"
+    path.write_text('{"origin_x_px": 20, "origin_y_px": 20.5, "char_width_px": 9, '
+                    '"line_height_px": 18}')
+    layout = load_layout(path)
+    assert layout == LayoutSpec(20.0, 20.5, 9.0, 18.0, 4)
+    assert type(layout.origin_x_px) is float
+
+
+@pytest.mark.parametrize("content,message", [
+    ("[1, 2]", "layout must be a JSON object, not list"),
+    ('{"origin_x_px": "x"}', "layout key 'origin_x_px' must be float, not str"),
+    ('{"tab_width": 8.5}', "layout key 'tab_width' must be int, not float"),
+    ('{"origin_y_px": 1, "char_width_px": 9, "line_height_px": 18}',
+     "missing keys ['origin_x_px']"),
+    ('{"font": "mono"}', "unknown layout keys ['font']"),
+    ("{", "invalid JSON"),
+])
+def test_layout_is_type_checked(tmp_path, content, message):
+    path = tmp_path / "layout.json"
+    path.write_text(content)
+    with pytest.raises(GazeFileError, match=re.escape(message)):
+        load_layout(path)
 
 
 def test_trajectory_jsonl_roundtrip(tmp_path):
