@@ -9,11 +9,12 @@ same parameter leaves sums their gradients (used for batching); call
 `zero_grads` between optimizer steps.
 
 The ops here are generic: elementwise and matrix ops, row gathers, and the
-cross-entropy losses (log-sum-exp, so saturated logits stay finite). A node
-is any `Var` built with parents and a backward closure that passes
-gradients on with `accumulate`; the policy builds its GRU-sequence and
-pointer nodes that way, each with a hand-derived backward over a whole
-group of sequences.
+cross-entropy losses (log-sum-exp, so saturated logits stay finite), whose
+plain-array core `cross_entropy_rows` the policy also calls. A node is any
+`Var` built with parents and a backward closure that passes gradients on
+with `accumulate`; the policy builds a lockstep group's whole teacher-forced
+loss that way, as one node whose hand-derived backward reaches every
+parameter.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return z / z.sum()
 
 
-def _cross_entropy_rows(x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cross_entropy_rows(x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row -log softmax(x)[target] by log-sum-exp, and the gradient rows."""
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
@@ -220,7 +221,7 @@ def softmax_cross_entropy(logits: Var, target_index: int, sample_weight: float =
     n = logits.value.shape[0]
     if not 0 <= target_index < n:
         raise ShapeError(f"softmax_cross_entropy: target {target_index} out of range for {n} slots")
-    losses, d = _cross_entropy_rows(logits.value[None, :], np.array([target_index]))
+    losses, d = cross_entropy_rows(logits.value[None, :], np.array([target_index]))
     out = Var(sample_weight * losses[0], parents=(logits,))
     out._backward = lambda g: accumulate(logits, g * sample_weight * d[0])
     return out
@@ -237,7 +238,7 @@ def softmax_cross_entropy_rows(logits: Var, targets) -> Var:
         raise ShapeError(f"softmax_cross_entropy_rows: {t.size} targets for {rows} rows")
     if ((t < 0) | (t >= n)).any():
         raise ShapeError(f"softmax_cross_entropy_rows: target out of range for {n} slots")
-    losses, d = _cross_entropy_rows(logits.value, t)
+    losses, d = cross_entropy_rows(logits.value, t)
     out = Var(losses.sum(), parents=(logits,))
     out._backward = lambda g: accumulate(logits, g * d)
     return out

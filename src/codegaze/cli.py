@@ -21,8 +21,8 @@ from .features import FeatureSpec
 from .gaze import (EmptyTrajectoryError, GazeFileError, LayoutSpec, StepRangeError, augment,
                    build_trajectory, load_layout, read_fixations_csv,
                    read_trajectories_jsonl, write_fixations_csv, write_trajectories_jsonl)
-from .lexer import (LabelKind, LexError, TaskLabel, attach_labels, check_json_object,
-                    load_corpus, load_labels)
+from .lexer import (LabelFileError, LabelKind, LexError, TaskLabel, attach_labels,
+                    check_json_object, load_corpus, load_labels)
 from .training import CheckpointError
 
 
@@ -316,8 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError,) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (LexError, EmptyTrajectoryError, StepRangeError, GazeFileError, CheckpointError,
-            policy.EmptySequenceError, FileNotFoundError, KeyError) as e:
+    except (LexError, LabelFileError, EmptyTrajectoryError, StepRangeError, GazeFileError,
+            CheckpointError, policy.EmptySequenceError, FileNotFoundError, KeyError) as e:
         # str() of a KeyError quotes its message; a FileNotFoundError's
         # first argument is only the errno, so it prints whole.
         msg = e.args[0] if isinstance(e, KeyError) and e.args else e

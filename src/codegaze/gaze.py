@@ -25,11 +25,12 @@ class EmptyTrajectoryError(ValueError):
 
 
 class StepRangeError(IndexError):
-    """Raised when a trajectory step is not a token index of its snippet."""
+    """Raised when a trajectory step is not a token index of its snippet, or
+    its task label is out of range for the task head."""
 
 
 class GazeFileError(ValueError):
-    """Raised on a malformed fixation CSV or layout file."""
+    """Raised on a malformed fixation CSV, layout or trajectory file."""
 
 
 # Bound on the fixation x token pairs `map_fixations` compares at once.
@@ -307,12 +308,36 @@ def trajectory_to_obj(traj: Trajectory) -> dict:
             "weight": traj.weight, "task": task}
 
 
-def trajectory_from_obj(obj: dict) -> Trajectory:
-    task = None
-    if obj.get("task") is not None:
-        task = TaskLabel(LabelKind(obj["task"]["kind"]), int(obj["task"]["value"]))
-    return Trajectory(snippet_id=obj["snippet_id"], steps=[int(s) for s in obj["steps"]],
-                      weight=float(obj.get("weight", 1.0)), task=task)
+TRAJECTORY_KEYS = {"snippet_id": str, "steps": list, "weight": float, "task": dict}
+
+
+def trajectory_from_obj(obj) -> Trajectory:
+    """A trajectory from its JSON object; `weight` and `task` may be left out.
+
+    Raises ValueError on an unknown, missing or mistyped key, a step that
+    is not an int, a weight that is not a finite number >= 0, or a task
+    that is not {"kind": "class" or "bug", "value": int}.
+    """
+    if isinstance(obj, dict) and "task" in obj and obj["task"] is None:
+        obj = {key: value for key, value in obj.items() if key != "task"}
+    check_json_object(obj, TRAJECTORY_KEYS, "trajectory")
+    missing = [key for key in ("snippet_id", "steps") if key not in obj]
+    if missing:
+        raise ValueError(f"trajectory missing keys {missing}")
+    if not all(type(step) is int for step in obj["steps"]):
+        raise ValueError("trajectory steps must be ints")
+    weight = float(obj.get("weight", 1.0))
+    if not (math.isfinite(weight) and weight >= 0):
+        raise ValueError(f"trajectory weight {weight!r} is not a finite number >= 0")
+    task = obj.get("task")
+    if task is not None:
+        check_json_object(task, {"kind": str, "value": int}, "trajectory task")
+        kinds = [kind.value for kind in LabelKind]
+        if set(task) != {"kind", "value"} or task["kind"] not in kinds:
+            raise ValueError(f"trajectory task must have a kind ({', '.join(kinds)}) and a value")
+        task = TaskLabel(LabelKind(task["kind"]), task["value"])
+    return Trajectory(snippet_id=obj["snippet_id"], steps=list(obj["steps"]), weight=weight,
+                      task=task)
 
 
 def write_trajectories_jsonl(trajectories: list[Trajectory], path: str | os.PathLike) -> None:
@@ -322,10 +347,27 @@ def write_trajectories_jsonl(trajectories: list[Trajectory], path: str | os.Path
 
 
 def read_trajectories_jsonl(path: str | os.PathLike) -> list[Trajectory]:
+    """One trajectory object a line; blank lines are skipped.
+
+    Raises GazeFileError, naming `path:line`, on a line that is not valid
+    JSON or not a trajectory (see `trajectory_from_obj`), and on a file
+    whose weights sum to 0, which leaves no loss to average.
+    """
     trajectories = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, 1):
             line = line.strip()
-            if line:
-                trajectories.append(trajectory_from_obj(json.loads(line)))
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise GazeFileError(f"{path}:{line_no}: invalid JSON: {e.msg} "
+                                    f"at column {e.colno}") from e
+            try:
+                trajectories.append(trajectory_from_obj(obj))
+            except ValueError as e:
+                raise GazeFileError(f"{path}:{line_no}: {e}") from e
+    if trajectories and sum(traj.weight for traj in trajectories) == 0:
+        raise GazeFileError(f"trajectory file {path}: the weights sum to 0")
     return trajectories

@@ -20,6 +20,10 @@ class LexError(ValueError):
     """Raised on malformed input, e.g. an unterminated string literal."""
 
 
+class LabelFileError(ValueError):
+    """Raised on a malformed labels CSV."""
+
+
 class TokenKind(str, Enum):
     IDENTIFIER = "identifier"
     KEYWORD = "keyword"
@@ -151,17 +155,42 @@ def load_corpus(corpus_dir: str | os.PathLike, keyword_set: set[str] | frozenset
     return corpus
 
 
+LABEL_COLUMNS = ("snippet_id", "kind", "value")
+
+
 def load_labels(labels_path: str | os.PathLike) -> dict[str, dict[LabelKind, int]]:
-    """Read a `snippet_id,kind,value` CSV; a snippet may carry several kinds."""
+    """Read a `snippet_id,kind,value` CSV; a snippet may carry several kinds.
+
+    Blank lines are skipped. Raises LabelFileError, naming `path:line`, on a
+    row whose field count differs from the header's, whose kind is not a
+    LabelKind or whose value is not an integer.
+    """
     labels: dict[str, dict[LabelKind, int]] = {}
     with open(labels_path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        required = {"snippet_id", "kind", "value"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"labels file {labels_path}: header must contain snippet_id,kind,value")
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or not set(LABEL_COLUMNS).issubset(header):
+            raise LabelFileError(f"labels file {labels_path}: header must contain "
+                                 f"{','.join(LABEL_COLUMNS)}")
+        sid_col, kind_col, value_col = (header.index(name) for name in LABEL_COLUMNS)
+        kinds = ", ".join(kind.value for kind in LabelKind)
         for row in reader:
-            kind = LabelKind(row["kind"])
-            labels.setdefault(row["snippet_id"], {})[kind] = int(row["value"])
+            if not row:
+                continue
+            where = f"{labels_path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise LabelFileError(f"{where}: {len(row)} fields, the header has {len(header)}")
+            try:
+                kind = LabelKind(row[kind_col])
+            except ValueError:
+                raise LabelFileError(f"{where}: kind {row[kind_col]!r} is not one of "
+                                     f"{kinds}") from None
+            try:
+                value = int(row[value_col])
+            except ValueError:
+                raise LabelFileError(f"{where}: value {row[value_col]!r} is not an "
+                                     f"integer") from None
+            labels.setdefault(row[sid_col], {})[kind] = value
     return labels
 
 

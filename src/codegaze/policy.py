@@ -7,23 +7,23 @@ slot with a learned key, so the action space is uniformly "token index or
 stop". A task head can emit a class label (softmax over classes) or a bug
 location (a second pointer over the tokens).
 
-One plain-numpy GRU cell (`gru_step`) and one pointer-score function
-(`pointer_scores`) do all the arithmetic. Training runs them inside two
-fused tape nodes, `gru_sequence` and `pointer_attention`, whose backward
-passes are derived by hand (backpropagation through time over the cached
-gates). Teacher forcing knows every decoder input in advance, so
-`forward_teacher` runs a whole group of trajectories in lockstep: each GRU
-steps every sequence of the group at once, one (B x d) matmul per step,
-with the shorter sequences padded at the end. The pointer attention and
-the loss stay per trajectory, and the pointer node recomputes its keys and
-tanh in its backward instead of keeping them. Greedy `rollout` calls the
-same cell and score function on plain arrays and builds no tape.
+One plain-numpy GRU cell (`gru_step`, z and r from one fused matmul) and
+one pointer-score function (`pointer_scores`) do all the arithmetic.
+Teacher forcing knows every decoder input in advance, so `forward_teacher`
+runs a whole group of trajectories in lockstep: each GRU steps every
+sequence of the group at once, one (B x d) matmul per step, with the
+shorter sequences padded at the end. The group's loss is one tape node.
+Its pointer gradients are taken in the forward, block by block on the
+tanh just computed (the loss is the graph's root, so its gradient is
+known there), and its backward runs hand-derived backpropagation through
+time over the cached gates. Greedy `rollout` calls the same cell and score
+function on plain arrays and builds no tape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,133 +104,132 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def gru_step(p: dict[str, np.ndarray], prefix: str, x: np.ndarray, h: np.ndarray):
+def recurrent_weights(p: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """The recurrent matrices `gru_step` reads: [Uz|Ur] as one, and Uh."""
+    return {prefix + "_Uzr": np.concatenate([p[prefix + "_Uz"], p[prefix + "_Ur"]], axis=1),
+            prefix + "_Uh": p[prefix + "_Uh"]}
+
+
+def gru_step(U: dict[str, np.ndarray], prefix: str, x: np.ndarray, h: np.ndarray):
     """One GRU step on plain arrays; returns (h', z, r, candidate).
 
-    `h` is one state (H) or one row per sequence (B x H), and `x` the
-    step's input for each, already projected by `project_inputs`:
-    [x Wz + bz | x Wr + br | x Wh + bh], so only the recurrent products
-    are left per step.
+    `U` holds the prefix's `recurrent_weights`, so z and r come from one
+    matmul and one sigmoid. `h` is one state (H) or one row per sequence
+    (B x H), and `x` the step's input for each, already projected by
+    `project_inputs`: [x Wz + bz | x Wr + br | x Wh + bh], so only the
+    recurrent products are left per step.
     """
     n = h.shape[-1]
-    z = _sigmoid(x[..., :n] + h @ p[prefix + "_Uz"])
-    r = _sigmoid(x[..., n:2 * n] + h @ p[prefix + "_Ur"])
-    c = np.tanh(x[..., 2 * n:] + (r * h) @ p[prefix + "_Uh"])
+    zr = _sigmoid(x[..., :2 * n] + h @ U[prefix + "_Uzr"])
+    z, r = zr[..., :n], zr[..., n:]
+    c = np.tanh(x[..., 2 * n:] + (r * h) @ U[prefix + "_Uh"])
     # h' = (1 - z) * h + z * c, written as h + z * (c - h)
     return h + z * (c - h), z, r, c
 
 
+def _input_weights(p: dict[str, np.ndarray], prefix: str) -> np.ndarray:
+    return np.concatenate([p[f"{prefix}_W{g}"] for g in "zrh"], axis=1)
+
+
 def project_inputs(p: dict[str, np.ndarray], prefix: str, X: np.ndarray) -> np.ndarray:
     """Every row's gate inputs at once: X [Wz|Wr|Wh] + [bz|br|bh]."""
-    W = np.concatenate([p[f"{prefix}_W{g}"] for g in "zrh"], axis=1)
     b = np.concatenate([p[f"{prefix}_b{g}"] for g in "zrh"])
-    return X @ W + b
+    return X @ _input_weights(p, prefix) + b
 
 
-def _gru_run(p: dict[str, np.ndarray], prefix: str, X: np.ndarray, h0: np.ndarray):
-    """States (h0 first, T+1 of them) and gates (z, r, candidate) of a GRU over X.
+class GRURun(NamedTuple):
+    """A GRU over time-major input rows X (row t*B + b is step t of sequence
+    b): the states H (h0 first, T+1 of them) and each step's gates z, r and
+    candidate, all the backward needs."""
+    X: np.ndarray
+    H: np.ndarray
+    Z: np.ndarray
+    R: np.ndarray
+    C: np.ndarray
 
-    `h0` is one start state (H), or B of them (B x H) with X's rows
-    time-major: row t*B + b is step t of sequence b.
+
+def _gru_run(p: dict[str, np.ndarray], prefix: str, X: np.ndarray, h0: np.ndarray) -> GRURun:
+    """A GRU over X from `h0`: one start state (H), or B of them (B x H).
+
+    A sequence shorter than the run is padded at the end with any rows:
+    the GRU is causal, so padding never changes a sequence's real states,
+    and padded steps get exactly zero gradient when no loss reads them.
     """
     d_hid = h0.shape[-1]
     A = project_inputs(p, prefix, X).reshape((-1,) + h0.shape[:-1] + (3 * d_hid,))
     T = A.shape[0]
+    U = recurrent_weights(p, prefix)
     Hs = np.empty((T + 1,) + h0.shape)
     Z, R, C = np.empty((3, T) + h0.shape)
     Hs[0] = h0
     for t in range(T):
-        Hs[t + 1], Z[t], R[t], C[t] = gru_step(p, prefix, A[t], Hs[t])
-    return Hs, Z, R, C
+        Hs[t + 1], Z[t], R[t], C[t] = gru_step(U, prefix, A[t], Hs[t])
+    return GRURun(X, Hs, Z, R, C)
 
 
-def gru_sequence(p: dict[str, Var], prefix: str, X: Var, h0: Var | None = None,
-                 batch: int = 1) -> Var:
-    """GRU over B sequences in lockstep as one node: (T*B) x H states.
+def _gru_backward(p: dict[str, np.ndarray], prefix: str, run: GRURun, G: np.ndarray):
+    """Backpropagation through time over a lockstep run's cached gates.
 
-    Rows are time-major: row t*B + b of X is step t of sequence b, and the
-    same row of the output is that sequence's state after it. `h0` holds the
-    B start states (B x H, or H for one sequence); if None they are zeros
-    and B is `batch`. A sequence shorter than T is padded at the end with
-    any rows: the GRU is causal, so padding never changes a sequence's real
-    states, and padded rows get exactly zero gradient when no loss reads
-    them.
-
-    The backward is backpropagation through time over the cached gates, so
-    each weight gradient is one (T*B x d)^T (T*B x d) product.
+    `G` (T x B x H) is the gradient of the loss with respect to each state
+    after its step. Returns the weight gradients by parameter name, the
+    gradient of X's rows and that of h0; each weight gradient is one
+    (T*B x d)^T (T*B x d) product.
     """
-    names = [f"{prefix}_{m}{g}" for m in "WUb" for g in "zrh"]
-    pv = {k: p[k].value for k in names}
-    d_hid = pv[prefix + "_Uz"].shape[0]
-    start = np.zeros((batch, d_hid)) if h0 is None else h0.value.reshape(-1, d_hid)
-    Hs, Z, R, C = _gru_run(pv, prefix, X.value, start)
-    T, B = Z.shape[:2]
-    parents = (X,) + tuple(p[k] for k in names) + (() if h0 is None else (h0,))
-    out = Var(Hs[1:].reshape(T * B, d_hid), parents=parents)
-
-    def bwd(G):
-        G = G.reshape(T, B, d_hid)
-        Hp = Hs[:-1]
-        # Per-step factors that do not depend on the carried gradient.
-        to_c = Z * (1.0 - C * C)                 # dh -> d(candidate pre-activation)
-        to_z = (C - Hp) * Z * (1.0 - Z)          # dh -> d(z pre-activation)
-        to_r = Hp * R * (1.0 - R)                # d(r*h) -> d(r pre-activation)
-        keep = 1.0 - Z
-        Uh_T = pv[prefix + "_Uh"].T
-        Uzr_T = np.concatenate([pv[prefix + "_Uz"], pv[prefix + "_Ur"]], axis=1).T
-        dA = np.empty((T, B, 3 * d_hid))
-        dh = np.zeros((B, d_hid))
-        for t in range(T - 1, -1, -1):
-            dh = dh + G[t]
-            dc = np.multiply(dh, to_c[t], out=dA[t, :, 2 * d_hid:])
-            dq = dc @ Uh_T
-            np.multiply(dh, to_z[t], out=dA[t, :, :d_hid])
-            np.multiply(dq, to_r[t], out=dA[t, :, d_hid:2 * d_hid])
-            dh = dh * keep[t] + dq * R[t] + dA[t, :, :2 * d_hid] @ Uzr_T
-        dA = dA.reshape(T * B, 3 * d_hid)
-        Hp = Hp.reshape(T * B, d_hid)
-        dW, db = X.value.T @ dA, dA.sum(axis=0)
-        dU = Hp.T @ dA[:, :2 * d_hid]
-        dU = [dU[:, :d_hid], dU[:, d_hid:],
-              (R.reshape(T * B, d_hid) * Hp).T @ dA[:, 2 * d_hid:]]
-        for k, (g, dUg) in enumerate(zip("zrh", dU)):
-            cols = slice(k * d_hid, (k + 1) * d_hid)
-            ad.accumulate(p[f"{prefix}_W{g}"], dW[:, cols])
-            ad.accumulate(p[f"{prefix}_U{g}"], dUg)
-            ad.accumulate(p[f"{prefix}_b{g}"], db[cols])
-        W = np.concatenate([pv[f"{prefix}_W{g}"] for g in "zrh"], axis=1)
-        ad.accumulate(X, dA @ W.T)
-        if h0 is not None:
-            ad.accumulate(h0, dh.reshape(h0.value.shape))
-
-    out._backward = bwd
-    return out
+    T, B, d_hid = run.Z.shape
+    Hp, Z, R, C = run.H[:-1], run.Z, run.R, run.C
+    # Per-step factors that do not depend on the carried gradient.
+    to_c = Z * (1.0 - C * C)                 # dh -> d(candidate pre-activation)
+    to_z = (C - Hp) * Z * (1.0 - Z)          # dh -> d(z pre-activation)
+    to_r = Hp * R * (1.0 - R)                # d(r*h) -> d(r pre-activation)
+    keep = 1.0 - Z
+    Uh_T = p[prefix + "_Uh"].T
+    Uzr_T = recurrent_weights(p, prefix)[prefix + "_Uzr"].T
+    dA = np.empty((T, B, 3 * d_hid))
+    dh = np.zeros((B, d_hid))
+    for t in range(T - 1, -1, -1):
+        dh = dh + G[t]
+        dc = np.multiply(dh, to_c[t], out=dA[t, :, 2 * d_hid:])
+        dq = dc @ Uh_T
+        np.multiply(dh, to_z[t], out=dA[t, :, :d_hid])
+        np.multiply(dq, to_r[t], out=dA[t, :, d_hid:2 * d_hid])
+        dh = dh * keep[t] + dq * R[t] + dA[t, :, :2 * d_hid] @ Uzr_T
+    dA = dA.reshape(T * B, 3 * d_hid)
+    Hp = Hp.reshape(T * B, d_hid)
+    dW, db = run.X.T @ dA, dA.sum(axis=0)
+    dU = Hp.T @ dA[:, :2 * d_hid]
+    grads = {f"{prefix}_Uz": dU[:, :d_hid], f"{prefix}_Ur": dU[:, d_hid:],
+             f"{prefix}_Uh": (R.reshape(T * B, d_hid) * Hp).T @ dA[:, 2 * d_hid:]}
+    for k, g in enumerate("zrh"):
+        cols = slice(k * d_hid, (k + 1) * d_hid)
+        grads[f"{prefix}_W{g}"] = dW[:, cols]
+        grads[f"{prefix}_b{g}"] = db[cols]
+    return grads, dA @ _input_weights(p, prefix).T, dh
 
 
 class EmptySequenceError(ValueError):
     """Raised when a snippet with no tokens is encoded."""
 
 
-def encode(features: list[np.ndarray], p: dict[str, Var]) -> tuple[Var, Var, Var]:
-    """Encodes a group of token-feature matrices in lockstep.
+def encode(features: list[np.ndarray], p: dict) -> tuple[np.ndarray, np.ndarray, GRURun]:
+    """Embeds and encodes a group of token-feature matrices in lockstep.
 
-    Returns (E, h_n, X): the time-major encoder states (row t*B + b is
-    token t of sequence b; rows past a sequence's end are padding), the
-    B x H final states, and every sequence's embeddings, concatenated
-    unpadded, with x_start appended as the last row.
+    Returns (X, rows, run): every sequence's embeddings, concatenated
+    unpadded, with x_start appended as the last row; the (max n x B) index
+    into X of each time-major encoder input; and the encoder's run, whose
+    states `run.H[1:]` are (max n x B x H), rows past a sequence's end
+    padding. `p` maps names to Vars or plain arrays.
     """
     ns = [f.shape[0] for f in features]
     if min(ns) == 0:
         raise EmptySequenceError("cannot encode an empty token sequence")
+    pv = _arrays(p)
     B, pad = len(features), sum(ns)
-    X = ad.concat_rows(ad.matmul(ad.constant(np.concatenate(features)), p["W_in"]),
-                       p["x_start"])
+    X = np.concatenate([np.concatenate(features) @ pv["W_in"], pv["x_start"][None, :]])
     # Padding rows read x_start (row `pad`); any row would do.
     rows = np.full((max(ns), B), pad)
     for b, offset in enumerate(np.cumsum([0] + ns[:-1])):
         rows[:ns[b], b] = offset + np.arange(ns[b])
-    E = gru_sequence(p, "enc", ad.row_gather(X, rows.reshape(-1)), batch=B)
-    return E, ad.row_gather(E, (np.array(ns) - 1) * B + np.arange(B)), X
+    return X, rows, _gru_run(pv, "enc", X[rows.reshape(-1)], np.zeros((B, pv["enc_Uz"].shape[0])))
 
 
 def pointer_scores(P: np.ndarray, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,111 +243,184 @@ def pointer_scores(P: np.ndarray, q: np.ndarray, v: np.ndarray) -> tuple[np.ndar
     return act @ v, act
 
 
-# Elements (steps x keys x d_attn) of the tanh block `pointer_attention`
-# holds at a time, forward and backward.
+# Elements (steps x keys x d_attn) of the tanh block `pointer_loss` holds
+# at a time.
 POINTER_BLOCK = 1 << 18
 
 
-def _pointer_keys(pv: dict[str, np.ndarray], E: np.ndarray, with_stop: bool = True) -> np.ndarray:
-    """Keys [E; e_stop] W1 + b_a, the stop slot last (E W1 + b_a without it)."""
-    keys = np.concatenate([E, pv["e_stop"][None, :]]) if with_stop else E
-    return keys @ pv["W1"] + pv["b_a"]
+def _pointer_keys(pv: dict[str, np.ndarray], E: np.ndarray) -> np.ndarray:
+    """Keys [E; e_stop] W1 + b_a, the stop slot last."""
+    return np.concatenate([E, pv["e_stop"][None, :]]) @ pv["W1"] + pv["b_a"]
 
 
-def pointer_attention(E: Var, D: Var, p: dict[str, Var], score_vec: str = "v",
-                      with_stop: bool = True) -> Var:
-    """Pointer logits of every decoder state (rows of D) over the keys built
-    from the encoder states (rows of E) and, with_stop, the stop slot.
+def pointer_loss(P: np.ndarray, Q: np.ndarray, v: np.ndarray, targets: np.ndarray,
+                 coef: float | None = None):
+    """Pointer scores of the queries Q (T x A) over the keys P (J x A), and
+    each row's cross-entropy against `targets`; returns (scores, losses, grads).
 
-    One node that keeps neither the keys nor the tanh: both passes walk
-    blocks of decoder steps whose tanh stays within POINTER_BLOCK elements,
-    and the backward recomputes the keys and each block's tanh.
+    Steps are taken in blocks whose tanh stays within POINTER_BLOCK
+    elements. Given `coef`, grads is (dv, dQ, dP), the gradients of coef x
+    the summed losses: the loss's gradient is known as soon as a block's
+    scores are, so each block's is taken on its tanh while it is still in
+    hand, and nothing is kept or recomputed. Without `coef`, grads is None.
     """
-    names = ("W1", "b_a", "W2", score_vec) + (("e_stop",) if with_stop else ())
-    pv = {k: p[k].value for k in names}
-    v = pv[score_vec]
-    T, J = D.value.shape[0], E.value.shape[0] + int(with_stop)
-
-    def blocks():
-        """(step slice, its scores, its tanh) for each block of decoder steps."""
-        P, Q = _pointer_keys(pv, E.value, with_stop), D.value @ pv["W2"]
-        rows = max(1, POINTER_BLOCK // P.size)
-        for s in range(0, T, rows):
-            blk = slice(s, s + rows)
-            yield (blk,) + pointer_scores(P, Q[blk], v)
-
-    scores = np.empty((T, J))
-    for blk, u, _ in blocks():
-        scores[blk] = u
-    out = Var(scores, parents=(E, D) + tuple(p[k] for k in names))
-
-    def bwd(g):
-        # d(pre-activation)[t, j] = g[t, j] v (1 - act[t, j]^2). Its sums over
-        # keys (for the queries) and over steps (for the keys) split into
-        # g's row and column sums minus two matmuls with act^2.
-        gq, gk, dv = np.empty((T, v.size)), np.zeros((J, v.size)), np.zeros_like(v)
-        for blk, _, act in blocks():
-            gb = g[blk]
-            dv += gb.reshape(-1) @ act.reshape(-1, v.size)
-            act *= act
-            gq[blk] = np.matmul(gb[:, None, :], act)[:, 0, :]
-            gk += np.matmul(act.transpose(1, 2, 0), gb.T[:, :, None])[:, :, 0]
-        dQ = (g.sum(axis=1)[:, None] - gq) * v
-        dP = (g.sum(axis=0)[:, None] - gk) * v
-        keys = np.concatenate([E.value, pv["e_stop"][None, :]]) if with_stop else E.value
-        ad.accumulate(p["W1"], keys.T @ dP)
-        ad.accumulate(p["b_a"], dP.sum(axis=0))
-        dkeys = dP @ pv["W1"].T
-        ad.accumulate(E, dkeys[:E.value.shape[0]])
-        if with_stop:
-            ad.accumulate(p["e_stop"], dkeys[-1])
-        ad.accumulate(p["W2"], D.value.T @ dQ)
-        ad.accumulate(D, dQ @ pv["W2"].T)
-        ad.accumulate(p[score_vec], dv)
-
-    out._backward = bwd
-    return out
+    T, J = Q.shape[0], P.shape[0]
+    scores, losses = np.empty((T, J)), np.empty(T)
+    if coef is not None:
+        dv, gq, gk = np.zeros_like(v), np.empty(Q.shape), np.zeros(P.shape)
+        g_rows, g_cols = np.empty(T), np.zeros(J)
+    rows = max(1, POINTER_BLOCK // P.size)
+    for s in range(0, T, rows):
+        blk = slice(s, s + rows)
+        scores[blk], act = pointer_scores(P, Q[blk], v)
+        losses[blk], d = ad.cross_entropy_rows(scores[blk], targets[blk])
+        if coef is None:
+            continue
+        # d(pre-activation)[t, j] = g[t, j] v (1 - act[t, j]^2). Its sums
+        # over keys (for the queries) and over steps (for the keys) split
+        # into g's row and column sums minus two matmuls with act^2.
+        g = coef * d
+        dv += g.reshape(-1) @ act.reshape(-1, v.size)
+        act *= act
+        gq[blk] = np.matmul(g[:, None, :], act)[:, 0, :]
+        gk += np.matmul(act.transpose(1, 2, 0), g.T[:, :, None])[:, :, 0]
+        g_rows[blk] = g.sum(axis=1)
+        g_cols += g.sum(axis=0)
+    if coef is None:
+        return scores, losses, None
+    return scores, losses, (dv, (g_rows[:, None] - gq) * v, (g_cols[:, None] - gk) * v)
 
 
-def forward_teacher(features: list[np.ndarray], steps: list[list[int]], p: dict[str, Var],
-                    task_mode: str = TASK_NONE) -> list[tuple[Var, Var | None]]:
-    """Teacher-forced pass over a lockstep group of trajectories.
-
-    `features[b]` and `steps[b]` are trajectory b's token features and
-    expert steps. Both GRUs run the whole group at once; for each
-    trajectory the result holds its (K+1) x (n+1) pointer logits for
-    targets steps + stop, and its task logits.
-    """
-    if not features or len(features) != len(steps):
-        raise ValueError(f"{len(features)} feature matrices for {len(steps)} trajectories")
-    for f, s in zip(features, steps):
+def _check_group(features: list[np.ndarray], steps: list[list[int]],
+                 labels: list[int | None], cfg: BCConfig) -> None:
+    if not features or not len(features) == len(steps) == len(labels):
+        raise ValueError(f"{len(features)} feature matrices for {len(steps)} trajectories "
+                         f"and {len(labels)} labels")
+    for f, s, label in zip(features, steps, labels):
         if not s:
             raise ValueError("trajectory must be non-empty")
         for i in s:
             if not 0 <= i < f.shape[0]:
                 raise IndexError(f"step index {i} out of range for {f.shape[0]} tokens")
-    E, h_n, X = encode(features, p)
+        slots = {TASK_CLASSIFY: cfg.n_classes, TASK_LOCALIZE: f.shape[0]}.get(cfg.task_mode)
+        if label is not None and slots is not None and not 0 <= label < slots:
+            raise IndexError(f"task label {label} out of range for {slots} slots")
+
+
+def forward_teacher(features: list[np.ndarray], steps: list[list[int]], p: dict,
+                    cfg: BCConfig, labels: list[int | None] | None = None,
+                    weights: list[float] | None = None):
+    """Teacher-forced cloning loss of a lockstep group of trajectories, as one node.
+
+    `features[b]`, `steps[b]`, `labels[b]` and `weights[b]` are trajectory
+    b's token features, expert steps, task value (None for no task loss)
+    and sample weight (default 1). Returns (loss, outputs): the sum over
+    the group of each trajectory's `bc_loss` under cfg's task head and loss
+    weights, and per trajectory its (K+1) x (n+1) pointer logits for
+    targets steps + stop and its task logits (None without a task head),
+    as plain arrays.
+
+    Both GRUs step the whole group at once. Each trajectory's states are
+    strided slices of the time-major runs. If `p` maps names to Vars, the
+    loss is a tape node whose backward reaches them: the pointer gradients
+    are taken in the forward (see `pointer_loss`), and the backward runs
+    the decoder's and the encoder's backpropagation through time from
+    them. If `p` holds plain arrays, no gradient is taken and the loss is
+    a constant. Features get no gradient.
+    """
+    B = len(features)
+    labels = [None] * B if labels is None else labels
+    weights = [1.0] * B if weights is None else weights
+    _check_group(features, steps, labels, cfg)
+    grad = isinstance(p["W_in"], Var)
+    pv = _arrays(p)
+    X, enc_rows, enc = encode(features, pv)
+    ns, Ks = np.array([f.shape[0] for f in features]), np.array([len(s) for s in steps])
+    every = np.arange(B)
     # Decoder inputs are x_start then the expert's tokens, all known up
     # front; x_start is X's last row, which also pads the shorter sequences.
-    B, pad = len(features), X.value.shape[0] - 1
-    ns, Ks = [f.shape[0] for f in features], [len(s) for s in steps]
-    rows = np.full((max(Ks) + 1, B), pad)
-    for b, offset in enumerate(np.cumsum([0] + ns[:-1])):
-        rows[1:Ks[b] + 1, b] = offset + np.asarray(steps[b])
-    D = gru_sequence(p, "dec", ad.row_gather(X, rows.reshape(-1)), h_n)
-    out = []
-    for b, (n, K) in enumerate(zip(ns, Ks)):
-        E_b = ad.row_gather(E, range(b, n * B, B))
-        logits = pointer_attention(E_b, ad.row_gather(D, range(b, (K + 1) * B, B)), p)
+    dec_rows = np.full((Ks.max() + 1, B), X.shape[0] - 1)
+    for b, offset in enumerate(np.cumsum(ns) - ns):
+        dec_rows[1:Ks[b] + 1, b] = offset + np.asarray(steps[b])
+    E = enc.H[1:]
+    dec = _gru_run(pv, "dec", X[dec_rows.reshape(-1)], E[ns - 1, every])
+    D = dec.H[1:]
+    PE = E @ pv["W1"] + pv["b_a"]            # every encoder state's key
+    p_stop = pv["e_stop"] @ pv["W1"] + pv["b_a"]
+    Q = D @ pv["W2"]                         # every decoder state's query
+    if grad:
+        dPE, dQ, d_stop = np.zeros_like(PE), np.zeros_like(Q), np.zeros_like(p_stop)
+        dv, dv_loc, G_task = np.zeros_like(pv["v"]), np.zeros_like(pv["v"]), None
+        if cfg.task_mode == TASK_CLASSIFY:
+            G_task = np.zeros((B, cfg.n_classes))
+    total, outputs = 0.0, []
+    for b, (n, K, label, weight) in enumerate(zip(ns, Ks, labels, weights)):
+        targets = np.append(steps[b], n)
+        coef = weight * (cfg.w_att / (K + 1)) if grad else None
+        logits, ce, g_att = pointer_loss(np.concatenate([PE[:n, b], p_stop[None]]),
+                                         Q[:K + 1, b], pv["v"], targets, coef)
+        loss = ce.sum() * (cfg.w_att / (K + 1))
+        if grad:
+            dv += g_att[0]
+            dQ[:K + 1, b] = g_att[1]
+            dPE[:n, b] = g_att[2][:n]
+            d_stop += g_att[2][n]
         task_logits = None
-        if task_mode == TASK_CLASSIFY:
-            task_logits = ad.matmul(ad.row_gather(D, K * B + b), p["W_task"])
-        elif task_mode == TASK_LOCALIZE:
-            loc = pointer_attention(E_b, ad.row_gather(D, [K * B + b]), p, "v_loc",
-                                    with_stop=False)
-            task_logits = ad.row_gather(loc, 0)
-        out.append((logits, task_logits))
-    return out
+        with_task = label is not None and cfg.w_aux > 0
+        task_coef = weight * cfg.w_aux if grad and with_task else None
+        if cfg.task_mode == TASK_CLASSIFY:
+            task_logits = D[K, b] @ pv["W_task"]
+            if with_task:
+                task_ce, d = ad.cross_entropy_rows(task_logits[None, :], [label])
+                loss = loss + task_ce[0] * cfg.w_aux
+                if grad:
+                    G_task[b] = task_coef * d[0]
+        elif cfg.task_mode == TASK_LOCALIZE:
+            P_loc, q_loc, v_loc = PE[:n, b], Q[K:K + 1, b], pv["v_loc"]
+            if with_task:
+                loc, task_ce, g_loc = pointer_loss(P_loc, q_loc, v_loc, np.array([label]),
+                                                   task_coef)
+                loss = loss + task_ce[0] * cfg.w_aux
+                if grad:
+                    dv_loc += g_loc[0]
+                    dQ[K, b] += g_loc[1][0]
+                    dPE[:n, b] += g_loc[2]
+            else:
+                loc = pointer_scores(P_loc, q_loc, v_loc)[0]
+            task_logits = loc[0]
+        total = total + loss * weight
+        outputs.append((logits, task_logits))
+    if not grad:
+        return Var(total), outputs
+
+    def bwd(g):
+        H, A = E.shape[-1], dPE.shape[-1]
+        grads = {"v": dv, "e_stop": pv["W1"] @ d_stop,
+                 "W1": E.reshape(-1, H).T @ dPE.reshape(-1, A) + np.outer(pv["e_stop"], d_stop),
+                 "b_a": dPE.reshape(-1, A).sum(axis=0) + d_stop,
+                 "W2": D.reshape(-1, H).T @ dQ.reshape(-1, A)}
+        dD = dQ @ pv["W2"].T
+        if cfg.task_mode == TASK_CLASSIFY:
+            grads["W_task"] = D[Ks, every].T @ G_task
+            dD[Ks, every] += G_task @ pv["W_task"].T
+        elif cfg.task_mode == TASK_LOCALIZE:
+            grads["v_loc"] = dv_loc
+        dec_grads, dX_dec, dh0 = _gru_backward(pv, "dec", dec, dD)
+        dH = dPE @ pv["W1"].T
+        dH[ns - 1, every] += dh0
+        enc_grads, dX_enc, _ = _gru_backward(pv, "enc", enc, dH)
+        dX = np.zeros_like(X)
+        np.add.at(dX, np.concatenate([enc_rows.reshape(-1), dec_rows.reshape(-1)]),
+                  np.concatenate([dX_enc, dX_dec]))
+        grads["W_in"] = np.concatenate(features).T @ dX[:-1]
+        grads["x_start"] = dX[-1]
+        # Every gradient is linear in the incoming g, so g scales only the
+        # parameter gradients, and the forward's arrays are neither copied
+        # nor changed.
+        for name, value in {**grads, **dec_grads, **enc_grads}.items():
+            ad.accumulate(p[name], g * value)
+
+    return Var(total, parents=tuple(p.values()), backward=bwd), outputs
 
 
 def bc_loss(action_logits: Var | list[Var], expert_steps: list[int], task_logits: Var | None,
@@ -356,8 +428,9 @@ def bc_loss(action_logits: Var | list[Var], expert_steps: list[int], task_logits
             sample_weight: float = 1.0) -> Var:
     """sample_weight * (w_att * mean CE over targets+stop + w_aux * task CE).
 
-    `action_logits` is the (K+1) x (n+1) matrix of `forward_teacher`, or a
-    list of K+1 one-dimensional logit vectors.
+    `action_logits` is a (K+1) x (n+1) logit matrix, or a list of K+1
+    one-dimensional logit vectors. `forward_teacher` computes the same
+    loss for a whole group without building these nodes.
     """
     if w_att < 0 or w_aux < 0 or w_att + w_aux == 0:
         raise ValueError("loss weights must be non-negative with a positive sum")
@@ -388,17 +461,18 @@ def rollout(features: np.ndarray, p: dict, max_steps: int,
         raise EmptySequenceError("cannot encode an empty token sequence")
     pv = _arrays(p)
     X = features @ pv["W_in"]
-    E = _gru_run(pv, "enc", X, np.zeros(pv["enc_Uz"].shape[0]))[0][1:]
+    E = _gru_run(pv, "enc", X, np.zeros(pv["enc_Uz"].shape[0])).H[1:]
     P = _pointer_keys(pv, E)
     # Row n holds x_start's projection, and slot n is stop: `a` starts at n
     # and the loop ends before a chosen stop could be fed back.
     A_dec = project_inputs(pv, "dec", np.concatenate([X, pv["x_start"][None, :]]))
+    U = recurrent_weights(pv, "dec")
     W2, v = pv["W2"], pv["v"]
     d = E[-1]
     a = n
     steps: list[int] = []
     for _ in range(max_steps):
-        d = gru_step(pv, "dec", A_dec[a], d)[0]
+        d = gru_step(U, "dec", A_dec[a], d)[0]
         logits, _ = pointer_scores(P, d @ W2, v)
         a = int(np.argmax(logits))  # ties resolve to the lowest slot
         if a == n:
@@ -435,9 +509,6 @@ def gradcheck_problem(seed: int = 0):
         p.value = p.value * 6.0
 
     def loss_fn(p):
-        outputs = forward_teacher(features, steps, p, bc.task_mode)
-        return reduce(ad.add, [
-            bc_loss(logits, s, task_logits, label, bc.w_att, bc.w_aux)
-            for (logits, task_logits), s, label in zip(outputs, steps, labels)])
+        return forward_teacher(features, steps, p, bc, labels)[0]
 
     return loss_fn, params

@@ -1,12 +1,12 @@
 """Behavioral-cloning training loop, evaluation metrics, and checkpoints.
 
 Each minibatch is cut, in order, into lockstep groups whose padded size
-stays within ROW_BUDGET rows; a group is one teacher-forced graph (see
+stays within ROW_BUDGET rows; a group's loss is one tape node (see
 `policy.forward_teacher`) and one backward pass, and the gradients of a
-batch's groups add up to one Adam step. Evaluation builds the same graphs
-without a backward pass, and `predict` rolls out on the checkpoint's
-arrays without building one. Only the snippets the trajectories reference
-are featurized.
+batch's groups add up to one Adam step. Evaluation runs the same forward
+on the checkpoint's arrays, taking no gradient and building no tape, and
+`predict` rolls out on them the same way. Only the snippets the
+trajectories reference are featurized.
 Everything is seeded, so (data, config, seed) fully determine the
 checkpoint bytes. Checkpoint floats are serialized as shortest-round-trip
 decimal strings, which preserves all 64 bits.
@@ -19,15 +19,13 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from . import autodiff as ad
 from . import policy
-from .autodiff import Var
 from .features import FeatureSpec, Vocab, build_vocab, featurize, load_embedding_table
-from .gaze import Trajectory, check_steps
+from .gaze import EmptyTrajectoryError, StepRangeError, Trajectory, check_steps
 from .lexer import LabelKind, Snippet, check_json_object, field_types
 
 FORMAT_VERSION = 1
@@ -109,25 +107,24 @@ def lockstep_groups(trajectories: list[Trajectory], feats: dict[str, np.ndarray]
 def _run_group(group, feats, cfg, params, train_mode):
     """Forward pass of one lockstep group, and its backward in train mode.
 
-    Returns (loss, targets, hits, task hit or None) per trajectory as plain
-    numbers, so the group's graph is freed on return.
+    Returns the group's loss and (targets, hits, task hit or None) per
+    trajectory as plain numbers, so the group's node is freed on return.
     """
-    outputs = policy.forward_teacher([feats[t.snippet_id] for t in group],
-                                     [t.steps for t in group], params, cfg.task_mode)
-    losses, stats = [], []
-    for traj, (logits, task_logits) in zip(group, outputs):
-        label = _task_value(traj, cfg.task_mode)
-        losses.append(policy.bc_loss(logits, traj.steps, task_logits, label,
-                                     cfg.w_att, cfg.w_aux, traj.weight))
-        targets = list(traj.steps) + [logits.value.shape[1] - 1]
-        hits = int(np.count_nonzero(np.argmax(logits.value, axis=1) == targets))
+    labels = [_task_value(traj, cfg.task_mode) for traj in group]
+    loss, outputs = policy.forward_teacher(
+        [feats[t.snippet_id] for t in group], [t.steps for t in group], params, cfg,
+        labels, [t.weight for t in group])
+    if train_mode:
+        ad.backward(loss)
+    stats = []
+    for traj, label, (logits, task_logits) in zip(group, labels, outputs):
+        targets = list(traj.steps) + [logits.shape[1] - 1]
+        hits = int(np.count_nonzero(np.argmax(logits, axis=1) == targets))
         task_hit = None
         if task_logits is not None and label is not None:
-            task_hit = int(np.argmax(task_logits.value)) == label
-        stats.append((float(losses[-1].value), len(targets), hits, task_hit))
-    if train_mode:
-        ad.backward(reduce(ad.add, losses))
-    return stats
+            task_hit = int(np.argmax(task_logits)) == label
+        stats.append((len(targets), hits, task_hit))
+    return float(loss.value), stats
 
 
 def _run_pass(trajectories, feats, cfg, params, train_mode, adam_state=None):
@@ -135,7 +132,8 @@ def _run_pass(trajectories, feats, cfg, params, train_mode, adam_state=None):
 
     Each lockstep group is one forward pass (and, in train mode, one
     backward pass); train mode takes one Adam step per batch of cfg.batch
-    trajectories.
+    trajectories. `params` holds Vars in train mode and plain arrays
+    otherwise.
     """
     total_loss = 0.0
     total_weight = 0.0
@@ -147,9 +145,9 @@ def _run_pass(trajectories, feats, cfg, params, train_mode, adam_state=None):
         if train_mode:
             ad.zero_grads(params)
         for group in groups:
-            for traj, (loss, n_targets, n_hits, task_hit) in zip(
-                    group, _run_group(group, feats, cfg, params, train_mode)):
-                total_loss += loss
+            loss, stats = _run_group(group, feats, cfg, params, train_mode)
+            total_loss += loss
+            for traj, (n_targets, n_hits, task_hit) in zip(group, stats):
                 total_weight += traj.weight
                 hits += n_hits
                 targets_seen += n_targets
@@ -164,11 +162,23 @@ def _run_pass(trajectories, feats, cfg, params, train_mode, adam_state=None):
                    mean_loss=total_loss / total_weight)
 
 
-def _check_trajectories(trajectories: list[Trajectory], snippets: dict[str, Snippet]) -> None:
+def _check_trajectories(trajectories: list[Trajectory], snippets: dict[str, Snippet],
+                        cfg: policy.BCConfig) -> None:
+    if sum(traj.weight for traj in trajectories) == 0:
+        raise EmptyTrajectoryError("the trajectory weights sum to 0, leaving no loss to average")
     for traj in trajectories:
         if traj.snippet_id not in snippets:
             raise KeyError(f"trajectory references unknown snippet {traj.snippet_id!r}")
-        check_steps(traj, snippets[traj.snippet_id])
+        snippet = snippets[traj.snippet_id]
+        check_steps(traj, snippet)
+        label = _task_value(traj, cfg.task_mode)
+        if cfg.task_mode == policy.TASK_CLASSIFY:
+            slots, what = cfg.n_classes, "classes"
+        else:
+            slots, what = len(snippet.tokens), "tokens"
+        if label is not None and not 0 <= label < slots:
+            raise StepRangeError(f"trajectory for snippet {traj.snippet_id!r}: "
+                                 f"task label {label} out of range for {slots} {what}")
 
 
 def train(trajectories: list[Trajectory], snippets: dict[str, Snippet],
@@ -177,7 +187,7 @@ def train(trajectories: list[Trajectory], snippets: dict[str, Snippet],
     """Fit the policy to weighted expert trajectories; vocab comes from `snippets`."""
     if not trajectories:
         raise ValueError("empty dataset")
-    _check_trajectories(trajectories, snippets)
+    _check_trajectories(trajectories, snippets, cfg)
     if feature_spec is None:
         feature_spec = FeatureSpec(mode="onehot_pos")
     vocab = build_vocab(list(snippets.values()), min_count=min_count)
@@ -205,11 +215,9 @@ def evaluate(ckpt: Checkpoint, trajectories: list[Trajectory],
     """Teacher-forced metrics on a dataset; never mutates the checkpoint."""
     if not trajectories:
         raise ValueError("cannot evaluate on an empty trajectory set")
-    _check_trajectories(trajectories, snippets)
+    _check_trajectories(trajectories, snippets, ckpt.config)
     feats = _feature_cache(trajectories, snippets, ckpt.feature_spec, ckpt.vocab)
-    # Wrapping without a copy is safe: nothing here runs backward or Adam.
-    params = {k: Var(v) for k, v in ckpt.params.items()}
-    return _run_pass(trajectories, feats, ckpt.config, params, False)
+    return _run_pass(trajectories, feats, ckpt.config, ckpt.params, False)
 
 
 def predict(ckpt: Checkpoint, snippet: Snippet, max_steps: int = 256):

@@ -1,0 +1,158 @@
+"""Reference implementation of the teacher-forced loss on the generic tape.
+
+This is the per-trajectory path `policy.forward_teacher` replaced: two GRU
+sequence nodes over the group, then for each trajectory row gathers of its
+encoder and decoder states, a pointer node, and `policy.bc_loss`. The GRU
+cell takes z and r from two separate matmuls, and greedy decoding here
+uses that cell too, so the policy's fused cell is checked against it.
+Tests compare losses, gradients and rollouts with the policy's.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+
+import numpy as np
+
+from codegaze import autodiff as ad
+from codegaze import policy
+from codegaze.autodiff import Var
+
+GATES = "zrh"
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def gru_step(p, prefix, x, h):
+    """One GRU step, x already projected; returns (h', z, r, candidate)."""
+    n = h.shape[-1]
+    z = _sigmoid(x[..., :n] + h @ p[prefix + "_Uz"])
+    r = _sigmoid(x[..., n:2 * n] + h @ p[prefix + "_Ur"])
+    c = np.tanh(x[..., 2 * n:] + (r * h) @ p[prefix + "_Uh"])
+    return h + z * (c - h), z, r, c
+
+
+def gru_run(p, prefix, X, h0):
+    A = policy.project_inputs(p, prefix, X).reshape((-1,) + h0.shape[:-1] + (3 * h0.shape[-1],))
+    Hs = np.empty((A.shape[0] + 1,) + h0.shape)
+    Z, R, C = np.empty((3, A.shape[0]) + h0.shape)
+    Hs[0] = h0
+    for t in range(A.shape[0]):
+        Hs[t + 1], Z[t], R[t], C[t] = gru_step(p, prefix, A[t], Hs[t])
+    return Hs, Z, R, C
+
+
+def gru_sequence(p, prefix, X, h0=None, batch=1):
+    """GRU over B time-major sequences as one node: (T*B) x H states."""
+    names = [f"{prefix}_{m}{g}" for m in "WUb" for g in GATES]
+    pv = {k: p[k].value for k in names}
+    d_hid = pv[prefix + "_Uz"].shape[0]
+    start = np.zeros((batch, d_hid)) if h0 is None else h0.value.reshape(-1, d_hid)
+    Hs, Z, R, C = gru_run(pv, prefix, X.value, start)
+    T, B = Z.shape[:2]
+    parents = (X,) + tuple(p[k] for k in names) + (() if h0 is None else (h0,))
+    out = Var(Hs[1:].reshape(T * B, d_hid), parents=parents)
+
+    def bwd(G):
+        G = G.reshape(T, B, d_hid)
+        Hp = Hs[:-1]
+        dA = np.empty((T, B, 3 * d_hid))
+        dh = np.zeros((B, d_hid))
+        for t in range(T - 1, -1, -1):
+            dh = dh + G[t]
+            dc = dh * Z[t] * (1.0 - C[t] ** 2)
+            dq = dc @ pv[prefix + "_Uh"].T
+            dz = dh * (C[t] - Hp[t]) * Z[t] * (1.0 - Z[t])
+            dr = dq * Hp[t] * R[t] * (1.0 - R[t])
+            dA[t] = np.concatenate([dz, dr, dc], axis=1)
+            dh = (dh * (1.0 - Z[t]) + dq * R[t] + dz @ pv[prefix + "_Uz"].T
+                  + dr @ pv[prefix + "_Ur"].T)
+        dA = dA.reshape(T * B, 3 * d_hid)
+        Hp = Hp.reshape(T * B, d_hid)
+        RHp = R.reshape(T * B, d_hid) * Hp
+        for k, g in enumerate(GATES):
+            cols = slice(k * d_hid, (k + 1) * d_hid)
+            ad.accumulate(p[f"{prefix}_W{g}"], X.value.T @ dA[:, cols])
+            ad.accumulate(p[f"{prefix}_U{g}"], (RHp if g == "h" else Hp).T @ dA[:, cols])
+            ad.accumulate(p[f"{prefix}_b{g}"], dA[:, cols].sum(axis=0))
+            ad.accumulate(X, dA[:, cols] @ pv[f"{prefix}_W{g}"].T)
+        if h0 is not None:
+            ad.accumulate(h0, dh.reshape(h0.value.shape))
+
+    out._backward = bwd
+    return out
+
+
+def pointer_attention(E, D, p, score_vec="v", with_stop=True):
+    """Pointer logits of every row of D over the keys from E (and stop)."""
+    keys = ad.concat_rows(E, p["e_stop"]) if with_stop else E
+    P = ad.add(ad.matmul(keys, p["W1"]), p["b_a"])
+    Q = ad.matmul(D, p["W2"])
+    rows = [ad.matmul(ad.tanh(ad.add(P, ad.row_gather(Q, t))), p[score_vec])
+            for t in range(D.value.shape[0])]
+    return ad.stack_rows(rows)
+
+
+def forward_teacher(features, steps, p, task_mode):
+    """Per trajectory: (pointer logits, task logits or None), as tape nodes."""
+    ns, Ks = [f.shape[0] for f in features], [len(s) for s in steps]
+    B, pad = len(features), sum(ns)
+    X = ad.concat_rows(ad.matmul(ad.constant(np.concatenate(features)), p["W_in"]),
+                       p["x_start"])
+    offsets = np.cumsum([0] + ns[:-1])
+    enc_rows = np.full((max(ns), B), pad)
+    dec_rows = np.full((max(Ks) + 1, B), pad)
+    for b, offset in enumerate(offsets):
+        enc_rows[:ns[b], b] = offset + np.arange(ns[b])
+        dec_rows[1:Ks[b] + 1, b] = offset + np.asarray(steps[b])
+    E = gru_sequence(p, "enc", ad.row_gather(X, enc_rows.reshape(-1)), batch=B)
+    h_n = ad.row_gather(E, (np.array(ns) - 1) * B + np.arange(B))
+    D = gru_sequence(p, "dec", ad.row_gather(X, dec_rows.reshape(-1)), h_n)
+    out = []
+    for b, (n, K) in enumerate(zip(ns, Ks)):
+        E_b = ad.row_gather(E, range(b, n * B, B))
+        logits = pointer_attention(E_b, ad.row_gather(D, range(b, (K + 1) * B, B)), p)
+        task_logits = None
+        if task_mode == policy.TASK_CLASSIFY:
+            task_logits = ad.matmul(ad.row_gather(D, K * B + b), p["W_task"])
+        elif task_mode == policy.TASK_LOCALIZE:
+            loc = pointer_attention(E_b, ad.row_gather(D, [K * B + b]), p, "v_loc",
+                                    with_stop=False)
+            task_logits = ad.row_gather(loc, 0)
+        out.append((logits, task_logits))
+    return out
+
+
+def group_loss(features, steps, p, cfg, labels=None, weights=None):
+    """(sum of the trajectories' `bc_loss`, per-trajectory outputs) on the tape."""
+    labels = [None] * len(steps) if labels is None else labels
+    weights = [1.0] * len(steps) if weights is None else weights
+    outputs = forward_teacher(features, steps, p, cfg.task_mode)
+    losses = [policy.bc_loss(logits, s, task, label, cfg.w_att, cfg.w_aux, weight)
+              for (logits, task), s, label, weight in zip(outputs, steps, labels, weights)]
+    return reduce(ad.add, losses), outputs
+
+
+def rollout(features, p, max_steps, task_mode=policy.TASK_NONE):
+    """Greedy decoding with the two-matmul cell, one step at a time."""
+    pv = {k: v.value for k, v in p.items()}
+    n = features.shape[0]
+    X = features @ pv["W_in"]
+    E = gru_run(pv, "enc", X, np.zeros(pv["enc_Uz"].shape[0]))[0][1:]
+    P = np.concatenate([E, pv["e_stop"][None, :]]) @ pv["W1"] + pv["b_a"]
+    A_dec = policy.project_inputs(pv, "dec", np.concatenate([X, pv["x_start"][None, :]]))
+    d, a, steps = E[-1], n, []
+    for _ in range(max_steps):
+        d = gru_step(pv, "dec", A_dec[a], d)[0]
+        a = int(np.argmax(np.tanh(P + d @ pv["W2"]) @ pv["v"]))
+        if a == n:
+            break
+        steps.append(a)
+    task_out = None
+    if task_mode == policy.TASK_CLASSIFY:
+        task_out = int(np.argmax(d @ pv["W_task"]))
+    elif task_mode == policy.TASK_LOCALIZE:
+        task_out = int(np.argmax(np.tanh(P[:n] + d @ pv["W2"]) @ pv["v_loc"]))
+    return steps, task_out

@@ -503,3 +503,90 @@ def test_synth_ingest_augment_outputs_match_golden_hashes(tmp_path):
     digests = {name: tree_digest(root / name) for name in GOLDEN}
     digests["aug.jsonl"] = augmented_digest(root / "aug.jsonl")
     assert digests == GOLDEN
+
+
+def train_args(root: Path, *extra):
+    return ["train", "--corpus-dir", str(root / "corpus"),
+            "--trajectories", str(root / "demos.jsonl"), "--checkpoint", str(root / "c.json"),
+            "--epochs", "1", "--d-emb", "4", "--d-hidden", "4", "--d-attn", "4", *extra]
+
+
+@pytest.mark.parametrize("row,message", [
+    ("snip0001,class", "2 fields, the header has 3"),
+    ("snip0001,class,1,9", "4 fields, the header has 3"),
+    ("snip0001,class,one", "value 'one' is not an integer"),
+    ("snip0001,colour,1", "kind 'colour' is not one of class, bug"),
+])
+def test_bad_label_row_is_data_error(tmp_path, capsys, row, message):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    labels = tmp_path / "labels.csv"
+    labels.write_text(labels.read_text() + row + "\n")
+    line = len(labels.read_text().splitlines())
+    capsys.readouterr()
+    assert run_cli(*train_args(tmp_path, "--labels", str(labels))) == 2
+    assert one_error_line(capsys) == f"error: {labels}:{line}: {message}"
+
+
+def test_bad_labels_header_is_data_error(tmp_path, capsys):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,kind,value\nsnip0001,class,1\n")
+    capsys.readouterr()
+    assert run_cli(*train_args(tmp_path, "--labels", str(labels))) == 2
+    assert one_error_line(capsys) == (f"error: labels file {labels}: header must contain "
+                                      "snippet_id,kind,value")
+
+
+@pytest.mark.parametrize("line,message", [
+    ('{"snippet_id": "snip0001", "steps": [1, 2',
+     "invalid JSON: Expecting ',' delimiter at column 42"),
+    ("[1, 2]", "trajectory must be a JSON object, not list"),
+    ('{"steps": [1]}', "trajectory missing keys ['snippet_id']"),
+    ('{"snippet_id": "snip0001", "weight": 1.0}', "trajectory missing keys ['steps']"),
+    ('{"snippet_id": 1, "steps": [1]}', "trajectory key 'snippet_id' must be str, not int"),
+    ('{"snippet_id": "snip0001", "steps": 1}', "trajectory key 'steps' must be list, not int"),
+    ('{"snippet_id": "snip0001", "steps": [1.5]}', "trajectory steps must be ints"),
+    ('{"snippet_id": "snip0001", "steps": [1], "task": "bug"}',
+     "trajectory key 'task' must be dict, not str"),
+    ('{"snippet_id": "snip0001", "steps": [1], "task": {"kind": "x", "value": 1}}',
+     "trajectory task must have a kind (class, bug) and a value"),
+    ('{"snippet_id": "snip0001", "steps": [1], "weight": -1.0}',
+     "trajectory weight -1.0 is not a finite number >= 0"),
+    ('{"snippet_id": "snip0001", "steps": [1], "weight": NaN}',
+     "trajectory weight nan is not a finite number >= 0"),
+    ('{"snippet_id": "snip0001", "steps": [1], "weight": "1"}',
+     "trajectory key 'weight' must be float, not str"),
+])
+def test_bad_trajectory_line_is_data_error(tmp_path, capsys, line, message):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    path = tmp_path / "demos.jsonl"
+    path.write_text(path.read_text() + line + "\n")
+    line_no = len(path.read_text().splitlines())
+    capsys.readouterr()
+    assert run_cli("augment", "--corpus-dir", str(tmp_path / "corpus"), "--trajectories",
+                   str(path), "--out", str(tmp_path / "aug.jsonl")) == 2
+    assert one_error_line(capsys) == f"error: {path}:{line_no}: {message}"
+
+
+def test_trajectory_weights_summing_to_zero_are_data_error(tmp_path, capsys):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    path = tmp_path / "demos.jsonl"
+    rows = [dict(json.loads(l), weight=0.0) for l in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert run_cli(*train_args(tmp_path)) == 2
+    assert one_error_line(capsys) == f"error: trajectory file {path}: the weights sum to 0"
+
+
+@pytest.mark.parametrize("value", [7, -1])
+def test_task_label_out_of_range_is_data_error(tmp_path, capsys, value):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    path = tmp_path / "demos.jsonl"
+    rows = [json.loads(l) for l in path.read_text().splitlines()]
+    rows[1]["task"] = {"kind": "class", "value": value}
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert run_cli(*train_args(tmp_path, "--task-mode", "classify", "--n-classes", "2",
+                               "--w-aux", "1")) == 2
+    assert one_error_line(capsys) == (f"error: trajectory for snippet 'snip0001': task label "
+                                      f"{value} out of range for 2 classes")

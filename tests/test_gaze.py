@@ -481,3 +481,32 @@ def test_trajectory_jsonl_roundtrip(tmp_path):
            [(t.snippet_id, t.steps, t.weight) for t in trajs]
     assert back[0].task.kind is LabelKind.BUG and back[0].task.value == 2
     assert back[1].task is None
+
+
+def test_trajectory_jsonl_defaults_and_blank_lines(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('\n{"snippet_id": "s1", "steps": [2, 0]}\n\n'
+                    '{"snippet_id": "s2", "steps": [1], "weight": 0, "task": null}\n')
+    back = read_trajectories_jsonl(path)
+    assert [(t.snippet_id, t.steps, t.weight, t.task) for t in back] == \
+        [("s1", [2, 0], 1.0, None), ("s2", [1], 0.0, None)]
+
+
+@pytest.mark.parametrize("line,message", [
+    ("{", "invalid JSON: Expecting property name enclosed in double quotes at column 2"),
+    ('"s1"', "trajectory must be a JSON object, not str"),
+    ('{"snippet_id": "s1", "steps": [0], "extra": 1}', "unknown trajectory keys ['extra']"),
+    ('{"snippet_id": "s1", "steps": [true]}', "trajectory steps must be ints"),
+    ('{"snippet_id": "s1", "steps": [0], "weight": Infinity}',
+     "trajectory weight inf is not a finite number >= 0"),
+    ('{"snippet_id": "s1", "steps": [0], "task": {"kind": "bug"}}',
+     "trajectory task must have a kind (class, bug) and a value"),
+    ('{"snippet_id": "s1", "steps": [0], "task": {"kind": "bug", "value": "2"}}',
+     "trajectory task key 'value' must be int, not str"),
+])
+def test_trajectory_jsonl_bad_line_names_it(tmp_path, line, message):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"snippet_id": "s0", "steps": [0]}\n' + line + "\n")
+    with pytest.raises(GazeFileError) as e:
+        read_trajectories_jsonl(path)
+    assert str(e.value) == f"{path}:2: {message}"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codegaze.lexer import (LabelKind, LexError, TokenKind, attach_labels,
+from codegaze.lexer import (LabelFileError, LabelKind, LexError, TokenKind, attach_labels,
                             load_corpus, load_labels, tokenize)
 
 
@@ -135,3 +135,13 @@ def test_labels_header_validated(tmp_path):
     bad.write_text("id,k,v\na,class,1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
         load_labels(bad)
+
+
+def test_labels_columns_in_any_order_and_lines_counted(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("value,snippet_id,kind\n1,a,class\n\n2,a,bug\n", encoding="utf-8")
+    assert load_labels(path) == {"a": {LabelKind.CLASS: 1, LabelKind.BUG: 2}}
+    path.write_text(path.read_text() + "x,b,bug\n", encoding="utf-8")
+    with pytest.raises(LabelFileError) as e:
+        load_labels(path)
+    assert str(e.value) == f"{path}:5: value 'x' is not an integer"

@@ -1,6 +1,5 @@
 import math
 import warnings
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from codegaze import policy
 from codegaze.autodiff import Var
 from codegaze.policy import BCConfig
 
+import tape_oracle as oracle
+
 
 def zero_params(d_feat, cfg):
     params = policy.init_params(d_feat, cfg)
@@ -20,7 +21,8 @@ def zero_params(d_feat, cfg):
     return params
 
 
-SMALL = BCConfig(d_emb=4, d_hidden=4, d_attn=4)
+TINY = dict(d_emb=4, d_hidden=4, d_attn=4)
+SMALL = BCConfig(**TINY)
 
 
 def test_config_validation():
@@ -47,16 +49,21 @@ def test_init_within_range_and_seeded():
 
 def test_encode_zero_params_gives_zero_states():
     rng = np.random.default_rng(0)
-    E, h_n, _ = policy.encode([rng.standard_normal((5, 6))], zero_params(6, SMALL))
-    assert (E.value == 0).all()
-    assert (h_n.value == 0).all()
+    _, _, run = policy.encode([rng.standard_normal((5, 6))], zero_params(6, SMALL))
+    assert run.H.shape == (6, 1, SMALL.d_hidden)
+    assert (run.H == 0).all()
 
 
 def test_encode_single_token():
     rng = np.random.default_rng(1)
-    E, h_n, _ = policy.encode([rng.standard_normal((1, 6))], policy.init_params(6, SMALL))
-    assert E.value.shape == (1, SMALL.d_hidden)
-    assert E.value[0] == pytest.approx(h_n.value[0])
+    params = policy.init_params(6, SMALL)
+    X, rows, run = policy.encode([rng.standard_normal((1, 6))], params)
+    assert run.H[1:].shape == (1, 1, SMALL.d_hidden)
+    assert rows.tolist() == [[0]] and X.shape == (2, SMALL.d_emb)  # the token, x_start
+    pv = {k: v.value for k, v in params.items()}
+    h = policy.gru_step(policy.recurrent_weights(pv, "enc"), "enc",
+                        policy.project_inputs(pv, "enc", X[:1])[0], np.zeros(SMALL.d_hidden))[0]
+    assert run.H[1, 0] == pytest.approx(h, abs=1e-15)
 
 
 def test_encode_rejects_empty():
@@ -68,25 +75,24 @@ def test_encode_is_order_sensitive():
     rng = np.random.default_rng(2)
     feats = rng.standard_normal((6, 6))
     params = policy.init_params(6, SMALL)
-    E_fwd, _, _ = policy.encode([feats], params)
-    E_rev, _, _ = policy.encode([feats[::-1].copy()], params)
-    assert not np.allclose(E_fwd.value[-1], E_rev.value[-1])
+    fwd = policy.encode([feats], params)[2].H[-1, 0]
+    rev = policy.encode([feats[::-1].copy()], params)[2].H[-1, 0]
+    assert not np.allclose(fwd, rev)
 
 
 def test_pointer_logits_equal_for_zero_params():
-    params = zero_params(6, SMALL)
-    E, _, _ = policy.encode([np.ones((4, 6))], params)
-    logits = policy.pointer_attention(E, Var(np.zeros((1, SMALL.d_hidden))), params).value
-    assert logits.shape == (1, 5)
+    [(logits, _)] = policy.forward_teacher([np.ones((4, 6))], [[2]], zero_params(6, SMALL),
+                                           SMALL)[1]
+    assert logits.shape == (2, 5)
     assert (logits == logits[0, 0]).all()
 
 
 def test_pointer_logits_give_slot_distributions():
     rng = np.random.default_rng(3)
     params = policy.init_params(6, SMALL)
-    E, _, _ = policy.encode([rng.standard_normal((7, 6))], params)
-    D = Var(rng.standard_normal((20, SMALL.d_hidden)))
-    logits = policy.pointer_attention(E, D, params).value
+    steps = [int(i) for i in rng.integers(0, 7, size=19)]
+    [(logits, _)] = policy.forward_teacher([rng.standard_normal((7, 6))], [steps], params,
+                                           SMALL)[1]
     assert logits.shape == (20, 8)  # 7 tokens plus stop for each decoder state
     for row in logits:
         dist = ad.softmax(row)
@@ -95,30 +101,34 @@ def test_pointer_logits_give_slot_distributions():
 
 
 def test_pointer_logits_match_hand_computed():
-    # 1-dimensional tensors so the three logits can be computed by hand:
-    # u_j = v * tanh(w1*k_j + w2*d + b), keys = [e1, e2, e_stop]
+    # 1-dimensional tensors so the logits can be computed by hand:
+    # u_j = v * tanh(w1*k_j + w2*d + b), keys = [e1, e2, e_stop]. With zero
+    # inputs and recurrent weights every gate is a bias: the encoder's
+    # z = sigmoid(0) = 1/2 and candidate tanh(1), so e1 = tanh(1)/2 and
+    # e2 = 3 tanh(1)/4; the decoder's candidate is 0, so each of its steps
+    # halves the state, from e2.
     cfg = BCConfig(d_emb=1, d_hidden=1, d_attn=1)
-    params = policy.init_params(1, cfg)
-    w1, w2, v, b = 0.5, -0.3, 1.2, 0.1
-    params["W1"].value = np.array([[w1]])
-    params["W2"].value = np.array([[w2]])
-    params["v"].value = np.array([v])
-    params["b_a"].value = np.array([b])
-    params["e_stop"].value = np.array([0.7])
-    E = Var(np.array([[0.2], [-0.4]]))
-    d = 0.9
-    expected_logits = [v * math.tanh(w1 * k + w2 * d + b) for k in (0.2, -0.4, 0.7)]
-    logits = policy.pointer_attention(E, Var(np.array([[d]])), params).value
-    assert logits[0] == pytest.approx(expected_logits, abs=1e-12)
+    params = zero_params(1, cfg)
+    w1, w2, v, b, stop = 0.5, -0.3, 1.2, 0.1, 0.7
+    for name, value in (("W1", [[w1]]), ("W2", [[w2]]), ("v", [v]), ("b_a", [b]),
+                        ("e_stop", [stop]), ("enc_bh", [1.0])):
+        params[name].value = np.array(value)
+    t = math.tanh(1.0)
+    keys, states = (t / 2, 3 * t / 4, stop), (3 * t / 8, 3 * t / 16)
+    [(logits, _)] = policy.forward_teacher([np.zeros((2, 1))], [[0]], params, cfg)[1]
+    for row, d in zip(logits, states):
+        assert row == pytest.approx([v * math.tanh(w1 * k + w2 * d + b) for k in keys],
+                                    abs=1e-12)
 
 
 def test_forward_teacher_emits_k_plus_one():
     rng = np.random.default_rng(4)
     feats = rng.standard_normal((8, 6))
     params = policy.init_params(6, SMALL)
-    [(logits, task)] = policy.forward_teacher([feats], [[2, 5, 1]], params, "none")
-    assert logits.value.shape == (4, 9)  # K+1 distributions over n+1 slots
+    loss, [(logits, task)] = policy.forward_teacher([feats], [[2, 5, 1]], params, SMALL)
+    assert logits.shape == (4, 9)  # K+1 distributions over n+1 slots
     assert task is None
+    assert loss.value.shape == ()
 
 
 def test_forward_teacher_localize_head():
@@ -126,17 +136,24 @@ def test_forward_teacher_localize_head():
     rng = np.random.default_rng(5)
     feats = rng.standard_normal((8, 6))
     params = policy.init_params(6, cfg)
-    [(_, task)] = policy.forward_teacher([feats], [[0, 3]], params, "localize")
-    assert task.value.shape == (8,)  # no stop slot
-    assert abs(ad.softmax(task.value).sum() - 1.0) < 1e-12
+    [(_, task)] = policy.forward_teacher([feats], [[0, 3]], params, cfg)[1]
+    assert task.shape == (8,)  # no stop slot
+    assert abs(ad.softmax(task).sum() - 1.0) < 1e-12
 
 
 def test_forward_teacher_validates_steps():
     params = policy.init_params(6, SMALL)
     with pytest.raises(ValueError):
-        policy.forward_teacher([np.zeros((3, 6))], [[]], params)
+        policy.forward_teacher([np.zeros((3, 6))], [[]], params, SMALL)
     with pytest.raises(IndexError):
-        policy.forward_teacher([np.zeros((3, 6))], [[5]], params)
+        policy.forward_teacher([np.zeros((3, 6))], [[5]], params, SMALL)
+    # Task labels out of range for the head: no silent negative indexing.
+    for cfg, label in ((BCConfig(task_mode="classify", n_classes=2, **TINY), 2),
+                       (BCConfig(task_mode="localize", **TINY), 3),
+                       (BCConfig(task_mode="localize", **TINY), -1)):
+        with pytest.raises(IndexError, match="task label"):
+            policy.forward_teacher([np.zeros((3, 6))], [[1]], policy.init_params(6, cfg), cfg,
+                                   [label])
 
 
 def test_bc_loss_analytic_values():
@@ -178,15 +195,15 @@ def test_bc_loss_rejects_zero_weights():
 
 def test_full_policy_grad_check():
     rng = np.random.default_rng(8)
-    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, task_mode="classify", n_classes=3)
+    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, task_mode="classify", n_classes=3,
+                   w_aux=1.0)
     feats = rng.standard_normal((6, 5)) * 4.0
     params = policy.init_params(5, cfg)
     for p in params.values():
         p.value = p.value * 6.0  # probe away from the tiny-gradient init regime
 
     def loss_fn(p):
-        [(logits, task)] = policy.forward_teacher([feats], [[1, 4, 0]], p, "classify")
-        return policy.bc_loss(logits, [1, 4, 0], task, 2, 1.0, 1.0)
+        return policy.forward_teacher([feats], [[1, 4, 0]], p, cfg, [2])[0]
 
     assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
 
@@ -221,7 +238,7 @@ def test_argmax_invariant_to_logit_shift():
 
 
 # ---------------------------------------------------------------------------
-# Fused nodes: each alone, then the whole teacher-forced pass per task head
+# The group node: its GRUs and pointers, then the whole pass per task head
 
 
 def scaled_params(d_feat, cfg, factor=6.0):
@@ -234,61 +251,62 @@ def scaled_params(d_feat, cfg, factor=6.0):
 
 @pytest.mark.parametrize("T", [1, 5])
 def test_gru_sequence_grad_check(T):
+    # Both GRUs over a T-token snippet with T expert steps; T=1 is a
+    # one-token snippet. The decoder starts from the encoder's final state,
+    # so the gradient of its given start state must reach the encoder.
     rng = np.random.default_rng(12)
-    params = {k: v for k, v in scaled_params(3, SMALL).items() if k.startswith("dec_")}
-    params["X"] = Var(rng.standard_normal((T, SMALL.d_emb)) * 2.0)
-    params["h0"] = Var(rng.standard_normal(SMALL.d_hidden))
-    targets = rng.integers(0, SMALL.d_hidden, size=T)
-
-    def loss_fn(p):
-        states = policy.gru_sequence(p, "dec", p["X"], p["h0"])
-        return ad.softmax_cross_entropy_rows(ad.scale(states, 3.0), targets)
-
-    assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
+    feats = rng.standard_normal((T, 3)) * 2.0
+    steps = [int(i) for i in rng.integers(0, T, size=T)]
+    params = scaled_params(3, SMALL)
+    assert ad.grad_check(lambda p: policy.forward_teacher([feats], [steps], p, SMALL)[0],
+                         params, eps=1e-5) <= 1e-4
 
 
 def test_gru_sequence_rows_match_step_by_step_cell():
+    # Bit for bit: the lockstep run's states, the fused cell stepped on one
+    # state at a time, and the tape oracle's cell with two gate matmuls.
     rng = np.random.default_rng(13)
     params = policy.init_params(3, SMALL)
-    X = rng.standard_normal((4, SMALL.d_emb))
-    states = policy.gru_sequence(params, "enc", Var(X)).value
     pv = {k: v.value for k, v in params.items()}
-    h = np.zeros(SMALL.d_hidden)
-    for t, x in enumerate(policy.project_inputs(pv, "enc", X)):
-        h = policy.gru_step(pv, "enc", x, h)[0]
-        assert (states[t] == h).all()
+    X, rows, run = policy.encode([rng.standard_normal((4, 3))], params)
+    U = policy.recurrent_weights(pv, "enc")
+    h = h_oracle = np.zeros(SMALL.d_hidden)
+    for t, x in enumerate(policy.project_inputs(pv, "enc", X[rows[:, 0]])):
+        h = policy.gru_step(U, "enc", x, h)[0]
+        h_oracle = oracle.gru_step(pv, "enc", x, h_oracle)[0]
+        assert (run.H[t + 1, 0] == h).all()
+        assert (h == h_oracle).all()
 
 
-def pointer_problem(with_stop):
-    """The action pointer (stop slot, v) or the localize pointer (no stop, v_loc)."""
+def pointer_problem(task_mode):
+    """A group of two whose pointers take five and three steps over six and
+    four tokens, with trajectory weights and loss weights other than 1."""
     rng = np.random.default_rng(14)
-    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, task_mode="localize")
-    score_vec = "v" if with_stop else "v_loc"
-    params = {k: v for k, v in scaled_params(3, cfg).items()
-              if k in ("W1", "b_a", "W2", score_vec, "e_stop")}
-    params["E"] = Var(rng.standard_normal((6, SMALL.d_hidden)) * 2.0)
-    params["D"] = Var(rng.standard_normal((5, SMALL.d_hidden)) * 2.0)
-    targets = rng.integers(0, 6, size=5)
+    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, task_mode=task_mode, w_att=0.7, w_aux=1.3)
+    features = [rng.standard_normal((6, 3)) * 2.0, rng.standard_normal((4, 3)) * 2.0]
+    steps = [[5, 0, 2, 2], [3, 1]]
+    params = scaled_params(3, cfg)
 
     def loss_fn(p):
-        return ad.softmax_cross_entropy_rows(
-            policy.pointer_attention(p["E"], p["D"], p, score_vec, with_stop), targets)
+        return policy.forward_teacher(features, steps, p, cfg, [4, 1], [1.5, 0.5])[0]
 
     return loss_fn, params
 
 
 def test_pointer_attention_grad_check():
-    loss_fn, params = pointer_problem(with_stop=True)
+    loss_fn, params = pointer_problem("none")
     assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
 
 
 @pytest.mark.parametrize("with_stop", [True, False])
 def test_pointer_attention_grad_check_in_blocks(with_stop, monkeypatch):
-    # Two steps a block, so the five steps take three blocks, the last short.
-    monkeypatch.setattr(policy, "POINTER_BLOCK", 2 * (6 + with_stop) * SMALL.d_attn)
-    loss_fn, params = pointer_problem(with_stop)
+    # Two steps a block, so the first pointer's five steps take three
+    # blocks, the last short. The pointer without the stop slot is the
+    # localize head's.
+    monkeypatch.setattr(policy, "POINTER_BLOCK", 2 * (6 + 1) * SMALL.d_attn)
+    loss_fn, params = pointer_problem("none" if with_stop else "localize")
     assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
-    assert (params["e_stop"].grad is None) == (not with_stop)
+    assert with_stop or np.abs(params["v_loc"].grad).max() > 0
 
 
 def test_softmax_cross_entropy_rows_grad_check_and_value():
@@ -305,20 +323,19 @@ def test_softmax_cross_entropy_rows_grad_check_and_value():
 
 def test_full_policy_grad_check_localize_head():
     rng = np.random.default_rng(16)
-    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, task_mode="localize")
+    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, task_mode="localize", w_aux=1.0)
     feats = rng.standard_normal((6, 5)) * 4.0
     params = scaled_params(5, cfg)
     steps = [1, 4, 1]  # a repeated step sends two gradients into one embedding row
 
     def loss_fn(p):
-        [(logits, task)] = policy.forward_teacher([feats], [steps], p, "localize")
-        return policy.bc_loss(logits, steps, task, 3, 1.0, 1.0)
+        return policy.forward_teacher([feats], [steps], p, cfg, [3])[0]
 
     assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
 
 
 def test_teacher_forcing_on_rollout_reproduces_it():
-    # The tape-free rollout and the fused teacher-forced pass share one cell
+    # The tape-free rollout and the teacher-forced group node share one cell
     # and one pointer-score function, so feeding a rollout's own steps back
     # must make every argmax pick the same step, then stop.
     rng = np.random.default_rng(17)
@@ -327,8 +344,30 @@ def test_teacher_forcing_on_rollout_reproduces_it():
     params = scaled_params(5, cfg)
     steps, _ = policy.rollout(feats, params, max_steps=30)
     assert len(set(steps)) >= 3 and len(steps) < 30
-    [(logits, _)] = policy.forward_teacher([feats], [steps], params)
-    assert list(np.argmax(logits.value, axis=1)) == steps + [9]
+    [(logits, _)] = policy.forward_teacher([feats], [steps], params, cfg)[1]
+    assert list(np.argmax(logits, axis=1)) == steps + [9]
+
+
+def head_config(task_mode, **kwargs):
+    return BCConfig(task_mode=task_mode, n_classes=3 if task_mode == "classify" else 0,
+                    **kwargs)
+
+
+@pytest.mark.parametrize("task_mode", ["none", "classify", "localize"])
+def test_rollout_matches_two_matmul_cell(task_mode):
+    # Greedy rollouts with the fused z/r gate choose the steps and task
+    # outputs of the tape oracle's two-matmul cell: 100 per head, over
+    # snippets of 1 to 11 tokens.
+    rng = np.random.default_rng(21)
+    stops = 0
+    for seed in range(100):
+        cfg = head_config(task_mode, d_emb=6, d_hidden=6, d_attn=6, seed=seed)
+        params = scaled_params(5, cfg, factor=rng.uniform(1.0, 8.0))
+        feats = rng.standard_normal((int(rng.integers(1, 12)), 5)) * 3.0
+        rolled = policy.rollout(feats, params, 30, task_mode)
+        assert rolled == oracle.rollout(feats, params, 30, task_mode)
+        stops += len(rolled[0]) < 30
+    assert 0 < stops < 100  # both stops and runs to max_steps are covered
 
 
 # ---------------------------------------------------------------------------
@@ -343,65 +382,92 @@ def ragged_group(rng, d_feat=5):
     return [rng.standard_normal((n, d_feat)) * 4.0 for n, _ in RAGGED], [s for _, s in RAGGED]
 
 
-def group_losses(features, steps, p, task_mode, labels, weights):
-    return [policy.bc_loss(logits, s, task, label, 1.0, 1.0, weight)
-            for (logits, task), s, label, weight in zip(
-                policy.forward_teacher(features, steps, p, task_mode), steps, labels, weights)]
-
-
 @pytest.mark.parametrize("task_mode,n_classes,labels", [
     ("classify", 3, [2, 0, 1]), ("localize", 0, [5, 1, 3])])
 def test_ragged_group_grad_check(task_mode, n_classes, labels):
     rng = np.random.default_rng(18)
-    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, task_mode=task_mode, n_classes=n_classes)
+    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, task_mode=task_mode, n_classes=n_classes,
+                   w_aux=1.0)
     features, steps = ragged_group(rng)
     params = scaled_params(5, cfg)
 
     def loss_fn(p):
-        return reduce(ad.add, group_losses(features, steps, p, task_mode, labels, WEIGHTS))
+        return policy.forward_teacher(features, steps, p, cfg, labels, WEIGHTS[:3])[0]
 
     assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
 
 
-def run_groups(cuts, features, steps, params, task_mode, labels):
-    """Per-trajectory losses and summed gradients over the given group cuts."""
+def run_groups(forward, cuts, features, steps, params, cfg, labels):
+    """Summed loss, per-trajectory outputs and summed gradients over the
+    given group cuts, with `forward` the group node or the tape oracle."""
     ad.zero_grads(params)
-    losses = []
+    total, outputs = 0.0, {}
     for group in cuts:
         def pick(seq):
             return [seq[i] for i in group]
 
-        group_l = group_losses(pick(features), pick(steps), params, task_mode,
-                               pick(labels), pick(WEIGHTS))
-        losses += [float(l.value) for l in group_l]
-        ad.backward(reduce(ad.add, group_l))
-    return np.array(losses), ad.collect_grads(params)
+        loss, group_out = forward(pick(features), pick(steps), params, cfg, pick(labels),
+                                  pick(WEIGHTS))
+        total += float(loss.value)
+        outputs.update(zip(group, group_out))
+        ad.backward(loss)
+    return total, [outputs[i] for i in range(len(steps))], ad.collect_grads(params)
+
+
+def assert_runs_agree(run, ref):
+    """Losses, logits and gradients equal to float64 roundoff."""
+    (loss, outputs, grads), (ref_loss, ref_outputs, ref_grads) = run, ref
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    for got, want in zip(outputs, ref_outputs):
+        for g, w in zip(got, want):
+            w = w.value if isinstance(w, Var) else w
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+    for name, g in grads.items():
+        assert np.linalg.norm(g - ref_grads[name]) <= 1e-12 * np.linalg.norm(ref_grads[name]), name
+
+
+def four_trajectories(task_mode, seed):
+    rng = np.random.default_rng(seed)
+    cfg = head_config(task_mode, d_emb=6, d_hidden=5, d_attn=7, w_att=0.7, w_aux=1.3)
+    features, steps = ragged_group(rng)
+    features.append(rng.standard_normal((3, 5)))
+    steps.append([2])
+    return cfg, features, steps, scaled_params(5, cfg, factor=3.0)
 
 
 @pytest.mark.parametrize("task_mode", ["none", "classify", "localize"])
 def test_group_equals_one_trajectory_at_a_time(task_mode):
-    # The group function differs from one trajectory at a time only in the
+    # The group node differs from one trajectory at a time only in the
     # order of its sums, so results agree to float64 roundoff.
-    rng = np.random.default_rng(19)
-    cfg = BCConfig(d_emb=6, d_hidden=5, d_attn=7, task_mode=task_mode,
-                   n_classes=3 if task_mode == "classify" else 0)
-    features, steps = ragged_group(rng)
-    features.append(rng.standard_normal((3, 5)))
-    steps.append([2])
+    cfg, features, steps, params = four_trajectories(task_mode, 19)
     labels = [0, 1, 2, 1]
-    params = scaled_params(5, cfg, factor=3.0)
-    ref_losses, ref_grads = run_groups([[0], [1], [2], [3]], features, steps, params,
-                                       task_mode, labels)
+    ref = run_groups(policy.forward_teacher, [[0], [1], [2], [3]], features, steps, params,
+                     cfg, labels)
     for cuts in ([[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1, 2, 3]], [[0, 1, 2], [3]]):
-        losses, grads = run_groups(cuts, features, steps, params, task_mode, labels)
-        assert np.abs(losses - ref_losses).max() <= 1e-12 * np.abs(ref_losses).max()
-        for name, g in grads.items():
-            assert np.linalg.norm(g - ref_grads[name]) <= 1e-12 * np.linalg.norm(ref_grads[name]), name
+        assert_runs_agree(run_groups(policy.forward_teacher, cuts, features, steps, params,
+                                     cfg, labels), ref)
+
+
+@pytest.mark.parametrize("task_mode", ["none", "classify", "localize"])
+def test_group_node_matches_tape_oracle(task_mode, monkeypatch):
+    # The tape oracle is the per-trajectory path the group node replaced:
+    # ragged groups, trajectory weights, w_att and w_aux other than 1, a
+    # trajectory without a label, and pointers over several blocks.
+    monkeypatch.setattr(policy, "POINTER_BLOCK", 2 * (7 + 1) * 7)
+    cfg, features, steps, params = four_trajectories(task_mode, 20)
+    labels = [0, None, 2, 1]
+    for cuts in ([[0, 1, 2, 3]], [[0, 1], [2, 3]]):
+        assert_runs_agree(
+            run_groups(policy.forward_teacher, cuts, features, steps, params, cfg, labels),
+            run_groups(oracle.group_loss, cuts, features, steps, params, cfg, labels))
 
 
 def test_full_read_memory_is_bounded():
-    # A 721-step full read of a 721-token snippet. The pointer node keeps no
-    # steps x keys x d_attn array (266 MB here), so the peak stays small.
+    # A 721-step full read of a 721-token snippet. The group node keeps no
+    # steps x keys x d_attn array (266 MB here): it takes the pointer
+    # gradients block by block in the forward, so the peak stays small.
     import tracemalloc
 
     from codegaze import synth
@@ -414,8 +480,8 @@ def test_full_read_memory_is_bounded():
     assert len(steps) == 721
     tracemalloc.start()
     try:
-        [(logits, _)] = policy.forward_teacher([feats], [steps], params)
-        ad.backward(policy.bc_loss(logits, steps, None, None, 1.0, 0.0))
+        loss, _ = policy.forward_teacher([feats], [steps], params, BCConfig())
+        ad.backward(loss)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -433,7 +499,7 @@ def test_saturated_parameters_stay_finite(task_mode, n_classes, labels, seed):
     # the gate to its exact limit.
     rng = np.random.default_rng(seed)
     cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, seed=seed, task_mode=task_mode,
-                   n_classes=n_classes)
+                   n_classes=n_classes, w_aux=1.0)
     features = [rng.standard_normal((n, 5)) * 100.0 for n, _ in RAGGED[:2]]
     steps = [s for _, s in RAGGED[:2]]
     params = scaled_params(5, cfg, factor=1e4)
@@ -441,8 +507,7 @@ def test_saturated_parameters_stay_finite(task_mode, n_classes, labels, seed):
         warnings.simplefilter("error")
         warnings.filterwarnings("ignore", "overflow encountered in exp", RuntimeWarning,
                                 "codegaze.policy")
-        loss = reduce(ad.add, group_losses(features, steps, params, task_mode, labels,
-                                           [1.0, 0.5]))
+        loss, _ = policy.forward_teacher(features, steps, params, cfg, labels, [1.0, 0.5])
         ad.backward(loss)
         rollouts = [policy.rollout(f, params, 40, task_mode) for f in features]
     assert np.isfinite(loss.value)

@@ -56,6 +56,19 @@ def test_train_validates_inputs():
         training.train(bad, snippets, BCConfig(**TINY_NET))
 
 
+def test_zero_total_weight_is_rejected():
+    # A split of a file with weight elsewhere can still carry none.
+    from dataclasses import replace
+    from codegaze.gaze import EmptyTrajectoryError
+    snippets, demos = tiny_dataset()
+    weightless = [replace(t, weight=0.0) for t in demos]
+    with pytest.raises(EmptyTrajectoryError, match="weights sum to 0"):
+        training.train(weightless, snippets, BCConfig(**TINY_NET))
+    ckpt = training.train(demos, snippets, BCConfig(epochs=0, **TINY_NET))
+    with pytest.raises(EmptyTrajectoryError, match="weights sum to 0"):
+        training.evaluate(ckpt, weightless, snippets)
+
+
 def test_evaluate_requires_data_and_is_pure():
     snippets, demos = tiny_dataset()
     ckpt = training.train(demos, snippets, BCConfig(epochs=1, **TINY_NET))
