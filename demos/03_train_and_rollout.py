@@ -5,8 +5,8 @@ Cloning a scripted reading strategy end to end
 
 Generates a small synthetic corpus, records demonstrations from the
 keyword-skimming expert, trains the pointer policy by behavioral cloning,
-and rolls the trained policy out on a held-out snippet. Takes roughly a
-minute on one core; shrink n_snippets or epochs to go faster.
+and rolls the trained policy out on a held-out snippet. Takes about two
+seconds on one core.
 """
 
 import numpy as np

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import autodiff as ad
 from . import policy, synth, training
-from .features import FeatureSpec
+from .features import EmbeddingTableError, FeatureSpec
 from .gaze import (EmptyTrajectoryError, GazeFileError, LayoutSpec, StepRangeError, augment,
                    build_trajectory, load_layout, read_fixations_csv,
                    read_trajectories_jsonl, write_fixations_csv, write_trajectories_jsonl)
@@ -317,7 +317,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (LexError, LabelFileError, EmptyTrajectoryError, StepRangeError, GazeFileError,
-            CheckpointError, policy.EmptySequenceError, FileNotFoundError, KeyError) as e:
+            EmbeddingTableError, CheckpointError, policy.EmptySequenceError,
+            FileNotFoundError, KeyError) as e:
         # str() of a KeyError quotes its message; a FileNotFoundError's
         # first argument is only the errno, so it prints whole.
         msg = e.args[0] if isinstance(e, KeyError) and e.args else e

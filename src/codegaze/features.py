@@ -6,6 +6,7 @@ position, hashed character n-gram counts, and an external embedding table.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,6 +21,10 @@ UNK_TEXT = "<unk>"
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+
+
+class EmbeddingTableError(ValueError):
+    """Raised on a malformed external embedding table."""
 
 
 @dataclass
@@ -78,26 +83,39 @@ def fnv1a64(data: bytes) -> int:
 
 
 def load_embedding_table(path: str | os.PathLike) -> dict[str, np.ndarray]:
-    """One line per token: `<text> <v1> ... <vd>`; all rows must agree on d."""
+    """One line per token: `<text> <v1> ... <vd>`; all rows must agree on d.
+
+    Raises EmbeddingTableError, naming `path:line`, on a row with no
+    values, a value that is not a finite number, or a width that differs
+    from the first row's.
+    """
     table: dict[str, np.ndarray] = {}
     width = None
     with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f):
+        for line_no, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:
                 continue
-            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            vec = np.empty(len(parts) - 1)
+            for i, text in enumerate(parts[1:]):
+                try:
+                    vec[i] = float(text)
+                except ValueError:
+                    vec[i] = math.nan
+                if not math.isfinite(vec[i]):
+                    raise EmbeddingTableError(f"{path}:{line_no}: value {text!r} "
+                                              f"is not a finite number")
             if width is None:
                 width = vec.shape[0]
                 if width == 0:
-                    raise ValueError(f"embedding table {path}: line {line_no} has no values")
+                    raise EmbeddingTableError(f"{path}:{line_no}: token {parts[0]!r} "
+                                              f"has no values")
             elif vec.shape[0] != width:
-                raise ValueError(
-                    f"embedding table {path}: line {line_no} has width "
-                    f"{vec.shape[0]}, expected {width}")
+                raise EmbeddingTableError(f"{path}:{line_no}: width {vec.shape[0]}, "
+                                          f"the first row's is {width}")
             table[parts[0]] = vec
     if not table:
-        raise ValueError(f"embedding table {path}: empty")
+        raise EmbeddingTableError(f"embedding table {path}: empty")
     return table
 
 

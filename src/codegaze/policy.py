@@ -17,7 +17,12 @@ Its pointer gradients are taken in the forward, block by block on the
 tanh just computed (the loss is the graph's root, so its gradient is
 known there), and its backward runs hand-derived backpropagation through
 time over the cached gates. Greedy `rollout` calls the same cell and score
-function on plain arrays and builds no tape.
+function on plain arrays and builds no tape. A decoder step is a fixed
+function of its input, the fed-back token and the state, so once an input
+comes back bit for bit every later step replays the cycle since its first
+time: `rollout` computes that cycle once and fills the remaining steps
+from it. A policy trained by cloning often never picks stop, and its
+rollouts settle into such a cycle after some tens to a few hundred steps.
 """
 
 from __future__ import annotations
@@ -448,11 +453,25 @@ def bc_loss(action_logits: Var | list[Var], expert_steps: list[int], task_logits
     return ad.scale(loss, sample_weight)
 
 
+# Decoder inputs `rollout` remembers while looking for a cycle: a cycle
+# whose period is longer than this is decoded step by step to the end.
+CYCLE_WINDOW = 256
+
+
 def rollout(features: np.ndarray, p: dict, max_steps: int,
             task_mode: str = TASK_NONE) -> tuple[list[int], int | None]:
     """Greedy decoding: argmax slot each step, feeding back the chosen token.
 
     `p` maps parameter names to Vars or plain arrays; no tape is built.
+
+    A decoder step is a fixed function of its input, the fed-back token and
+    the state (a, d). Once an input comes back bit for bit, lambda steps
+    after it was first fed, every later step replays those lambda steps, so
+    decoding stops there: the remaining steps repeat the last lambda
+    actions, and the task head reads the state the cycle is in after them.
+    Only the last CYCLE_WINDOW inputs are remembered, so the memory held
+    besides the returned steps is bounded whatever `max_steps` is. The
+    result equals decoding every step.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -471,7 +490,22 @@ def rollout(features: np.ndarray, p: dict, max_steps: int,
     d = E[-1]
     a = n
     steps: list[int] = []
-    for _ in range(max_steps):
+    window = CYCLE_WINDOW
+    seen: dict[tuple[int, bytes], int] = {}  # decoder input -> step it was fed at
+    fed: list = [None] * min(window, max_steps)  # step t's (input, state) at t % window
+    for t in range(max_steps):
+        key = (a, d.tobytes())
+        first = seen.get(key)
+        if first is not None:
+            period, rest = t - first, max_steps - t
+            cycle = steps[first:]
+            steps += cycle * (rest // period) + cycle[:rest % period]
+            d = fed[(first + rest % period) % window][1]
+            break
+        if t >= window:
+            del seen[fed[t % window][0]]
+        seen[key] = t
+        fed[t % window] = key, d
         d = gru_step(U, "dec", A_dec[a], d)[0]
         logits, _ = pointer_scores(P, d @ W2, v)
         a = int(np.argmax(logits))  # ties resolve to the lowest slot

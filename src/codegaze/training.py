@@ -214,7 +214,7 @@ def evaluate(ckpt: Checkpoint, trajectories: list[Trajectory],
              snippets: dict[str, Snippet]) -> Metrics:
     """Teacher-forced metrics on a dataset; never mutates the checkpoint."""
     if not trajectories:
-        raise ValueError("cannot evaluate on an empty trajectory set")
+        raise EmptyTrajectoryError("cannot evaluate on an empty trajectory set")
     _check_trajectories(trajectories, snippets, ckpt.config)
     feats = _feature_cache(trajectories, snippets, ckpt.feature_spec, ckpt.vocab)
     return _run_pass(trajectories, feats, ckpt.config, ckpt.params, False)

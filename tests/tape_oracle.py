@@ -4,7 +4,9 @@ This is the per-trajectory path `policy.forward_teacher` replaced: two GRU
 sequence nodes over the group, then for each trajectory row gathers of its
 encoder and decoder states, a pointer node, and `policy.bc_loss`. The GRU
 cell takes z and r from two separate matmuls, and greedy decoding here
-uses that cell too, so the policy's fused cell is checked against it.
+uses that cell too, so the policy's fused cell is checked against it. It
+decodes every step, with no cycle detection, so it also checks the
+policy's rollout, which stops stepping once a decoder input repeats.
 Tests compare losses, gradients and rollouts with the policy's.
 """
 
@@ -34,13 +36,18 @@ def gru_step(p, prefix, x, h):
     return h + z * (c - h), z, r, c
 
 
-def gru_run(p, prefix, X, h0):
+def fused_gru_step(p, prefix, x, h):
+    """The policy's cell, z and r from one matmul, called like `gru_step`."""
+    return policy.gru_step(policy.recurrent_weights(p, prefix), prefix, x, h)
+
+
+def gru_run(p, prefix, X, h0, cell=gru_step):
     A = policy.project_inputs(p, prefix, X).reshape((-1,) + h0.shape[:-1] + (3 * h0.shape[-1],))
     Hs = np.empty((A.shape[0] + 1,) + h0.shape)
     Z, R, C = np.empty((3, A.shape[0]) + h0.shape)
     Hs[0] = h0
     for t in range(A.shape[0]):
-        Hs[t + 1], Z[t], R[t], C[t] = gru_step(p, prefix, A[t], Hs[t])
+        Hs[t + 1], Z[t], R[t], C[t] = cell(p, prefix, A[t], Hs[t])
     return Hs, Z, R, C
 
 
@@ -135,17 +142,24 @@ def group_loss(features, steps, p, cfg, labels=None, weights=None):
     return reduce(ad.add, losses), outputs
 
 
-def rollout(features, p, max_steps, task_mode=policy.TASK_NONE):
-    """Greedy decoding with the two-matmul cell, one step at a time."""
+def rollout(features, p, max_steps, task_mode=policy.TASK_NONE, inputs=None, cell=gru_step):
+    """Greedy decoding with the two-matmul cell, one step at a time.
+
+    Given a list `inputs`, each step's decoder input (token, state) is
+    appended to it. The two cells may differ in the last bit of a state;
+    `cell=fused_gru_step` decodes with the policy's arithmetic, bit for bit.
+    """
     pv = {k: v.value for k, v in p.items()}
     n = features.shape[0]
     X = features @ pv["W_in"]
-    E = gru_run(pv, "enc", X, np.zeros(pv["enc_Uz"].shape[0]))[0][1:]
+    E = gru_run(pv, "enc", X, np.zeros(pv["enc_Uz"].shape[0]), cell)[0][1:]
     P = np.concatenate([E, pv["e_stop"][None, :]]) @ pv["W1"] + pv["b_a"]
     A_dec = policy.project_inputs(pv, "dec", np.concatenate([X, pv["x_start"][None, :]]))
     d, a, steps = E[-1], n, []
     for _ in range(max_steps):
-        d = gru_step(pv, "dec", A_dec[a], d)[0]
+        if inputs is not None:
+            inputs.append((a, d))
+        d = cell(pv, "dec", A_dec[a], d)[0]
         a = int(np.argmax(np.tanh(P + d @ pv["W2"]) @ pv["v"]))
         if a == n:
             break

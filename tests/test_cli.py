@@ -590,3 +590,34 @@ def test_task_label_out_of_range_is_data_error(tmp_path, capsys, value):
                                "--w-aux", "1")) == 2
     assert one_error_line(capsys) == (f"error: trajectory for snippet 'snip0001': task label "
                                       f"{value} out of range for 2 classes")
+
+
+def test_eval_of_an_empty_split_is_data_error(tmp_path, capsys):
+    # The hashed split of this 12-snippet corpus holds out no snippet.
+    assert run_cli(*synth_args(tmp_path)) == 0
+    assert train_small(tmp_path, tmp_path / "demos.jsonl") == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+                   "--corpus-dir", str(tmp_path / "corpus"),
+                   "--trajectories", str(tmp_path / "demos.jsonl"), "--split", "held") == 2
+    assert one_error_line(capsys) == "error: cannot evaluate on an empty trajectory set"
+
+
+@pytest.mark.parametrize("row,message", [
+    ("x 0.1 abc", "value 'abc' is not a finite number"),
+    ("x nan 0.1", "value 'nan' is not a finite number"),
+    ("x 0.1 -inf", "value '-inf' is not a finite number"),
+    ("x 0.1", "width 1, the first row's is 2"),
+    ("x 0.1 0.2 0.3", "width 3, the first row's is 2"),
+])
+def test_bad_embedding_table_row_is_data_error(tmp_path, capsys, row, message):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    table = tmp_path / "emb.txt"
+    table.write_text(f"if 0.5 -0.5\n\nfor 1 2\n{row}\n")
+    capsys.readouterr()
+    assert run_cli(*train_args(tmp_path, "--feature-mode", "external",
+                               "--embed-path", str(table))) == 2
+    assert one_error_line(capsys) == f"error: {table}:4: {message}"
+    table.write_text("if 0.5 -0.5\n\nfor 1 2\n")
+    assert run_cli(*train_args(tmp_path, "--feature-mode", "external",
+                               "--embed-path", str(table))) == 0

@@ -10,7 +10,8 @@ import codegaze
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("name", ["01_tokenize_and_featurize.py", "02_gaze_to_trajectory.py"])
+@pytest.mark.parametrize("name", ["01_tokenize_and_featurize.py", "02_gaze_to_trajectory.py",
+                                  "03_train_and_rollout.py"])
 def test_demo_runs(name, tmp_path):
     # the package's directory, for a checkout that is not installed
     env = dict(os.environ, PYTHONPATH=str(Path(codegaze.__file__).parents[1]))

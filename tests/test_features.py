@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from codegaze.features import (FeatureSpec, build_vocab,
+from codegaze.features import (EmbeddingTableError, FeatureSpec, build_vocab,
                                featurize, fnv1a64, load_embedding_table)
 from codegaze.lexer import tokenize
 
@@ -91,6 +91,28 @@ def test_external_table_width_mismatch(tmp_path):
     bad.write_text("a 1 2 3\nb 4 5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="width"):
         load_embedding_table(bad)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a\nb 1\n", "1: token 'a' has no values"),
+    ("a 1 2\n\nb 4 x\n", "3: value 'x' is not a finite number"),
+    ("a 1 2\nb nan 5\n", "2: value 'nan' is not a finite number"),
+    ("a 1 2\nb inf 5\n", "2: value 'inf' is not a finite number"),
+    ("a 1 2\n\n\nb 4\n", "4: width 1, the first row's is 2"),
+])
+def test_external_table_bad_row_names_its_line(tmp_path, text, message):
+    bad = tmp_path / "emb.txt"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(EmbeddingTableError) as err:
+        load_embedding_table(bad)
+    assert str(err.value) == f"{bad}:{message}"
+
+
+def test_external_table_empty(tmp_path):
+    empty = tmp_path / "emb.txt"
+    empty.write_text("\n\n", encoding="utf-8")
+    with pytest.raises(EmbeddingTableError, match="empty"):
+        load_embedding_table(empty)
 
 
 def test_external_table_missing():

@@ -370,6 +370,125 @@ def test_rollout_matches_two_matmul_cell(task_mode):
     assert 0 < stops < 100  # both stops and runs to max_steps are covered
 
 
+CYCLE_DIMS = dict(d_emb=6, d_hidden=6, d_attn=6)
+
+
+def cycle_params(seed, factor, task_mode="none"):
+    # The task head's parameters are drawn last, so every head decodes alike.
+    return scaled_params(5, head_config(task_mode, **CYCLE_DIMS, seed=seed), factor)
+
+
+def policy_inputs(feats, params, max_steps):
+    """Each step's decoder input (token, state) under the policy's own cell,
+    decoding every step: these are the inputs the cycle skip compares."""
+    inputs = []
+    oracle.rollout(feats, params, max_steps, inputs=inputs, cell=oracle.fused_gru_step)
+    return inputs
+
+
+def first_repeat(inputs):
+    """(mu, lambda): step mu + lambda is fed the input step mu was, bit for bit."""
+    seen = {}
+    for t, (a, d) in enumerate(inputs):
+        first = seen.setdefault((a, d.tobytes()), t)
+        if first != t:
+            return first, t - first
+    return None
+
+
+@pytest.fixture(scope="module")
+def decoding_cases():
+    """Seeded policies and snippets whose greedy decoding settles into a
+    period-1 cycle, settles into one of period 3 or more, or stops after
+    several steps. Each kind maps to (seed, parameter scale, features,
+    (mu, lambda)); a stop at step s is given as (s, 1)."""
+    # The rollout of test_teacher_forcing_on_rollout_reproduces_it stops.
+    feats = np.random.default_rng(17).standard_normal((9, 5)) * 3.0
+    steps, _ = oracle.rollout(feats, cycle_params(39, 6.0), 400)
+    assert len(set(steps)) >= 3 and len(steps) < 400
+    cases = {"stops": (39, 6.0, feats, (len(steps) + 1, 1))}
+    rng = np.random.default_rng(23)
+    for seed in range(100):
+        factor = rng.uniform(2.0, 8.0)
+        feats = rng.standard_normal((int(rng.integers(2, 12)), 5)) * 3.0
+        cycle = first_repeat(policy_inputs(feats, cycle_params(seed, factor), 400))
+        if cycle is not None and cycle[1] != 2 and cycle[0] < 200:
+            cases.setdefault("period 1" if cycle[1] == 1 else "period > 2",
+                             (seed, factor, feats, cycle))
+        if len(cases) == 3:
+            return cases
+    raise AssertionError(f"only {sorted(cases)} among the seeded rollouts")
+
+
+def count_decoder_steps(monkeypatch):
+    calls = {"dec": 0, "enc": 0}
+    step = policy.gru_step
+
+    def counted(U, prefix, x, h):
+        calls[prefix] += 1
+        return step(U, prefix, x, h)
+
+    monkeypatch.setattr(policy, "gru_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["period 1", "period > 2", "stops"])
+@pytest.mark.parametrize("task_mode", ["none", "classify", "localize"])
+def test_rollout_cycle_skip_matches_oracle(decoding_cases, kind, task_mode):
+    # The oracle decodes every step. Every max_steps up to three periods
+    # past the cycle's start, or three steps past the stop, gives its steps
+    # and task output.
+    seed, factor, feats, (mu, lam) = decoding_cases[kind]
+    params = cycle_params(seed, factor, task_mode)
+    for max_steps in range(1, mu + 3 * lam + 1):
+        assert (policy.rollout(feats, params, max_steps, task_mode)
+                == oracle.rollout(feats, params, max_steps, task_mode)), max_steps
+
+
+@pytest.mark.parametrize("kind", ["period 1", "period > 2"])
+def test_rollout_steps_each_cycle_once(decoding_cases, kind, monkeypatch):
+    seed, factor, feats, (mu, lam) = decoding_cases[kind]
+    params = cycle_params(seed, factor, "classify")
+    calls = count_decoder_steps(monkeypatch)
+    rolled = policy.rollout(feats, params, 10_000, "classify")
+    assert calls["dec"] <= mu + lam
+    assert len(rolled[0]) == 10_000
+    assert rolled == oracle.rollout(feats, params, 10_000, "classify")
+
+
+def test_rollout_final_state_follows_the_cycle(decoding_cases, monkeypatch):
+    # The task heads read the state the cycle is in after max_steps steps:
+    # the localize head's query is that state's, bit for bit, at every phase.
+    seed, factor, feats, (mu, lam) = decoding_cases["period > 2"]
+    params = cycle_params(seed, factor, "localize")
+    inputs = policy_inputs(feats, params, mu + 3 * lam + 1)
+    queries = []
+    scores = policy.pointer_scores
+    monkeypatch.setattr(policy, "pointer_scores",
+                        lambda P, q, v: queries.append(q) or scores(P, q, v))
+    for max_steps in range(1, mu + 3 * lam + 1):
+        policy.rollout(feats, params, max_steps, "localize")
+        assert np.array_equal(queries[-1], inputs[max_steps][1] @ params["W2"].value)
+
+
+def test_rollout_cycle_longer_than_window_is_decoded_in_full(decoding_cases, monkeypatch):
+    seed, factor, feats, (mu, lam) = decoding_cases["period > 2"]
+    params = cycle_params(seed, factor, "classify")
+    calls = count_decoder_steps(monkeypatch)
+    horizon = mu + 3 * lam
+    monkeypatch.setattr(policy, "CYCLE_WINDOW", lam - 1)
+    for max_steps in range(1, horizon + 1):
+        calls["dec"] = 0
+        assert (policy.rollout(feats, params, max_steps, "classify")
+                == oracle.rollout(feats, params, max_steps, "classify")), max_steps
+        assert calls["dec"] == max_steps
+    monkeypatch.setattr(policy, "CYCLE_WINDOW", lam)
+    calls["dec"] = 0
+    assert (policy.rollout(feats, params, horizon, "classify")
+            == oracle.rollout(feats, params, horizon, "classify"))
+    assert calls["dec"] == mu + lam
+
+
 # ---------------------------------------------------------------------------
 # Lockstep groups: padding must not change any trajectory's loss or gradient
 

@@ -5,6 +5,7 @@ import pytest
 
 from codegaze import policy, synth, training
 from codegaze.features import FeatureSpec
+from codegaze.gaze import EmptyTrajectoryError
 from codegaze.policy import BCConfig
 from codegaze.training import CheckpointError
 
@@ -72,7 +73,7 @@ def test_zero_total_weight_is_rejected():
 def test_evaluate_requires_data_and_is_pure():
     snippets, demos = tiny_dataset()
     ckpt = training.train(demos, snippets, BCConfig(epochs=1, **TINY_NET))
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyTrajectoryError, match="empty trajectory set"):
         training.evaluate(ckpt, [], snippets)
     before = {k: v.copy() for k, v in ckpt.params.items()}
     m1 = training.evaluate(ckpt, demos, snippets)
