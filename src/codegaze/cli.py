@@ -3,7 +3,11 @@ rollout / gradcheck.
 
 Configuration is a flat JSON file (``--config``) whose keys mirror the
 command-line flags; flags win over file values, which are type-checked.
-Exit codes: 0 success, 1 usage or config error, 2 data error.
+Exit codes: 0 success; 1 usage or config error, including a ``--config``
+file that cannot be opened or read; 2 data error, that is a
+`lexer.DataError` or an OSError: an input file that cannot be opened, is
+not UTF-8 text or is malformed, an output file that cannot be written, or
+an unknown snippet id.
 """
 
 from __future__ import annotations
@@ -17,13 +21,12 @@ from pathlib import Path
 
 from . import autodiff as ad
 from . import policy, synth, training
-from .features import EmbeddingTableError, FeatureSpec
-from .gaze import (EmptyTrajectoryError, GazeFileError, LayoutSpec, StepRangeError, augment,
-                   build_trajectory, load_layout, read_fixations_csv,
-                   read_trajectories_jsonl, write_fixations_csv, write_trajectories_jsonl)
-from .lexer import (LabelFileError, LabelKind, LexError, TaskLabel, attach_labels,
-                    check_json_object, load_corpus, load_labels)
-from .training import CheckpointError
+from .features import FeatureSpec
+from .gaze import (EmptyTrajectoryError, LayoutSpec, augment, build_trajectory, load_layout,
+                   read_fixations_csv, read_trajectories_jsonl, write_fixations_csv,
+                   write_trajectories_jsonl)
+from .lexer import (DataError, LabelKind, TaskLabel, attach_labels, check_json_object,
+                    load_corpus, load_labels, lookup_snippet, write_jsonl)
 
 
 class UsageError(ValueError):
@@ -68,6 +71,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             with open(args.config, encoding="utf-8") as f:
                 file_cfg = json.load(f)
             check_json_object(file_cfg, OPTION_TYPES, "config")
+        except OSError as e:
+            raise UsageError(f"config {args.config}: {e.strerror}") from e
         except json.JSONDecodeError as e:
             raise UsageError(f"config {args.config}: invalid JSON: {e}") from e
         except ValueError as e:
@@ -109,14 +114,10 @@ def _feature_spec(cfg: dict) -> FeatureSpec:
 def _split_trajectories(trajectories, split: str):
     ids = sorted({t.snippet_id for t in trajectories})
     train_ids, held_ids = training.split_by_id(ids)
-    if split == "train":
-        keep = set(train_ids)
-    elif split == "held":
-        keep = set(held_ids)
-    elif split == "all":
-        keep = set(ids)
-    else:
+    splits = {"train": train_ids, "held": held_ids, "all": ids}
+    if split not in splits:
         raise UsageError(f"unknown split {split!r} (expected train, held, or all)")
+    keep = set(splits[split])
     return [t for t in trajectories if t.snippet_id in keep]
 
 
@@ -126,14 +127,10 @@ def _split_trajectories(trajectories, split: str):
 def cmd_tokenize(cfg: dict) -> int:
     _require(cfg, "corpus_dir", "out")
     corpus = _load_corpus(cfg)
-    with open(cfg["out"], "w", encoding="utf-8") as f:
-        for sid in sorted(corpus):
-            snippet = corpus[sid]
-            obj = {"id": sid, "n_lines": snippet.n_lines, "tokens": [
-                {"text": t.text, "kind": t.kind.value, "line": t.line,
-                 "col_start": t.col_start, "col_end": t.col_end}
-                for t in snippet.tokens]}
-            f.write(json.dumps(obj, sort_keys=True) + "\n")
+    write_jsonl(cfg["out"], ({"id": sid, "n_lines": corpus[sid].n_lines, "tokens": [
+        {"text": t.text, "kind": t.kind.value, "line": t.line,
+         "col_start": t.col_start, "col_end": t.col_end} for t in corpus[sid].tokens]}
+        for sid in sorted(corpus)))
     return 0
 
 
@@ -143,12 +140,10 @@ def cmd_ingest(cfg: dict) -> int:
     corpus = _load_corpus(dict(cfg, tab_width=layout.tab_width))
     trajectories = []
     for path in sorted(Path(cfg["gaze_dir"]).glob("*.csv")):
-        sid = path.stem
-        if sid not in corpus:
-            raise KeyError(f"gaze file {path}: no snippet {sid!r} in corpus")
-        fixations = read_fixations_csv(path)
+        snippet = lookup_snippet(corpus, path.stem,
+                                 f"gaze file {path}: no snippet {path.stem!r} in corpus")
         trajectories.append(build_trajectory(
-            fixations, layout, corpus[sid],
+            read_fixations_csv(path), layout, snippet,
             min_dur_ms=cfg["min_dur_ms"], radius_px=cfg["radius_px"]))
     if not trajectories:
         raise EmptyTrajectoryError(f"no fixation files found in {cfg['gaze_dir']}")
@@ -161,10 +156,9 @@ def cmd_augment(cfg: dict) -> int:
     corpus = _load_corpus(cfg)
     expanded = []
     for i, traj in enumerate(read_trajectories_jsonl(cfg["trajectories"])):
-        if traj.snippet_id not in corpus:
-            raise KeyError(f"trajectory references unknown snippet {traj.snippet_id!r}")
-        expanded.extend(augment(traj, corpus[traj.snippet_id],
-                                cfg["sigma_tokens"], cfg["m"], cfg["seed"] + i))
+        snippet = lookup_snippet(corpus, traj.snippet_id,
+                                 f"trajectory references unknown snippet {traj.snippet_id!r}")
+        expanded.extend(augment(traj, snippet, cfg["sigma_tokens"], cfg["m"], cfg["seed"] + i))
     write_trajectories_jsonl(expanded, cfg["out"])
     return 0
 
@@ -207,9 +201,7 @@ def cmd_synth(cfg: dict) -> int:
     synth.write_labels(cfg["labels"], rows)
     write_trajectories_jsonl(demos, cfg["out"])
     if gaze_dir and cfg["layout"]:
-        with open(cfg["layout"], "w", encoding="utf-8") as f:
-            json.dump(dataclasses.asdict(layout), f, sort_keys=True)
-            f.write("\n")
+        write_jsonl(cfg["layout"], [dataclasses.asdict(layout)])
     return 0
 
 
@@ -227,9 +219,7 @@ def cmd_train(cfg: dict) -> int:
                           _feature_spec(cfg), min_count=cfg["min_count"])
     training.save_checkpoint(ckpt, cfg["checkpoint"])
     if cfg["metrics_out"]:
-        with open(cfg["metrics_out"], "w", encoding="utf-8") as f:
-            for entry in ckpt.epoch_log:
-                f.write(json.dumps(entry, sort_keys=True) + "\n")
+        write_jsonl(cfg["metrics_out"], ckpt.epoch_log)
     return 0
 
 
@@ -262,10 +252,9 @@ def cmd_rollout(cfg: dict) -> int:
     ckpt = training.load_checkpoint(cfg["checkpoint"])
     cfg = dict(cfg, task_mode=ckpt.config.task_mode)
     corpus = _load_corpus(cfg)
-    if cfg["snippet"] not in corpus:
-        raise KeyError(f"snippet {cfg['snippet']!r} not found in corpus")
-    steps, task_out = training.predict(ckpt, corpus[cfg["snippet"]],
-                                       max_steps=cfg["max_steps"])
+    snippet = lookup_snippet(corpus, cfg["snippet"],
+                             f"snippet {cfg['snippet']!r} not found in corpus")
+    steps, task_out = training.predict(ckpt, snippet, max_steps=cfg["max_steps"])
     print(json.dumps({"snippet_id": cfg["snippet"], "steps": steps,
                       "task_output": task_out}, sort_keys=True))
     return 0
@@ -313,16 +302,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return COMMANDS[args.command](cfg)
-    except (UsageError,) as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (LexError, LabelFileError, EmptyTrajectoryError, StepRangeError, GazeFileError,
-            EmbeddingTableError, CheckpointError, policy.EmptySequenceError,
-            FileNotFoundError, KeyError) as e:
-        # str() of a KeyError quotes its message; a FileNotFoundError's
-        # first argument is only the errno, so it prints whole.
-        msg = e.args[0] if isinstance(e, KeyError) and e.args else e
-        print(f"error: {msg}", file=sys.stderr)
+    except (DataError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

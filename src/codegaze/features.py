@@ -6,14 +6,14 @@ position, hashed character n-gram counts, and an external embedding table.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .lexer import Snippet
+from .lexer import DataError, Snippet, finite_floats, read_text
 
 UNK_ID = 0
 UNK_TEXT = "<unk>"
@@ -23,7 +23,7 @@ FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 
-class EmbeddingTableError(ValueError):
+class EmbeddingTableError(DataError):
     """Raised on a malformed external embedding table."""
 
 
@@ -91,29 +91,21 @@ def load_embedding_table(path: str | os.PathLike) -> dict[str, np.ndarray]:
     """
     table: dict[str, np.ndarray] = {}
     width = None
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            vec = np.empty(len(parts) - 1)
-            for i, text in enumerate(parts[1:]):
-                try:
-                    vec[i] = float(text)
-                except ValueError:
-                    vec[i] = math.nan
-                if not math.isfinite(vec[i]):
-                    raise EmbeddingTableError(f"{path}:{line_no}: value {text!r} "
-                                              f"is not a finite number")
-            if width is None:
-                width = vec.shape[0]
-                if width == 0:
-                    raise EmbeddingTableError(f"{path}:{line_no}: token {parts[0]!r} "
-                                              f"has no values")
-            elif vec.shape[0] != width:
-                raise EmbeddingTableError(f"{path}:{line_no}: width {vec.shape[0]}, "
-                                          f"the first row's is {width}")
-            table[parts[0]] = vec
+    for line_no, line in enumerate(read_text(path, EmbeddingTableError).split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        vec = np.array(finite_floats(parts[1:], repeat("value"), EmbeddingTableError, path,
+                                     line_no), dtype=np.float64)
+        if width is None:
+            width = vec.shape[0]
+            if width == 0:
+                raise EmbeddingTableError(f"{path}:{line_no}: token {parts[0]!r} "
+                                          f"has no values")
+        elif vec.shape[0] != width:
+            raise EmbeddingTableError(f"{path}:{line_no}: width {vec.shape[0]}, "
+                                      f"the first row's is {width}")
+        table[parts[0]] = vec
     if not table:
         raise EmbeddingTableError(f"embedding table {path}: empty")
     return table
@@ -122,37 +114,28 @@ def load_embedding_table(path: str | os.PathLike) -> dict[str, np.ndarray]:
 def featurize(snippet: Snippet, spec: FeatureSpec, vocab: Vocab,
               table: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Per-token feature matrix of shape (n_tokens, d_feat)."""
-    n = len(snippet.tokens)
+    if spec.mode == "external" and table is None:
+        table = load_embedding_table(spec.path)
+    out = np.zeros((len(snippet.tokens), spec.dim(vocab, table)))
     if spec.mode == "onehot":
-        out = np.zeros((n, len(vocab)))
         for i, tok in enumerate(snippet.tokens):
             out[i, vocab.lookup(tok.text)] = 1.0
-        return out
-    if spec.mode == "onehot_pos":
-        out = np.zeros((n, len(vocab) + 2))
+    elif spec.mode == "onehot_pos":
         n_lines = max(snippet.n_lines, 1)
         max_cols = max((tok.col_end for tok in snippet.tokens), default=1)
         for i, tok in enumerate(snippet.tokens):
             out[i, vocab.lookup(tok.text)] = 1.0
             out[i, -2] = tok.line / n_lines
             out[i, -1] = tok.col_start / max_cols
-        return out
-    if spec.mode == "char_ngram":
-        out = np.zeros((n, spec.buckets))
+    elif spec.mode == "char_ngram":
         for i, tok in enumerate(snippet.tokens):
             text = tok.text
             for j in range(len(text) - spec.ngram_n + 1):
                 gram = text[j:j + spec.ngram_n]
                 out[i, fnv1a64(gram.encode("utf-8")) % spec.buckets] += 1.0
-        return out
-    if spec.mode == "external":
-        if table is None:
-            table = load_embedding_table(spec.path)
-        width = next(iter(table.values())).shape[0]
-        out = np.zeros((n, width))
+    else:  # external: `dim` has rejected any other mode
         for i, tok in enumerate(snippet.tokens):
             vec = table.get(tok.text)
             if vec is not None:
                 out[i] = vec
-        return out
-    raise ValueError(f"unknown feature mode {spec.mode!r}")
+    return out

@@ -9,7 +9,6 @@ nearby same-line tokens under a Gaussian kernel over token-index distance.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -17,19 +16,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lexer import LabelKind, Snippet, TaskLabel, check_json_object, field_types
+from .lexer import (DataError, LabelKind, Snippet, TaskLabel, check_json_object, field_types,
+                    finite_floats, read_csv_rows, read_text, write_jsonl)
 
 
-class EmptyTrajectoryError(ValueError):
+class EmptyTrajectoryError(DataError):
     """Raised when no usable steps survive filtering and mapping."""
 
 
-class StepRangeError(IndexError):
+class StepRangeError(DataError, IndexError):
     """Raised when a trajectory step is not a token index of its snippet, or
     its task label is out of range for the task head."""
 
 
-class GazeFileError(ValueError):
+class GazeFileError(DataError):
     """Raised on a malformed fixation CSV, layout or trajectory file."""
 
 
@@ -243,31 +243,9 @@ def read_fixations_csv(path: str | os.PathLike) -> list[Fixation]:
     Raises GazeFileError, naming `path:line`, on a row whose field count
     differs from the header's or whose fixation field is not a finite number.
     """
-    fixations = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or not set(FIXATION_COLUMNS).issubset(header):
-            raise GazeFileError(f"fixation file {path}: header must contain "
-                                f"{','.join(FIXATION_COLUMNS)}")
-        columns = [header.index(name) for name in FIXATION_COLUMNS]
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise GazeFileError(f"{path}:{reader.line_num}: {len(row)} fields, "
-                                    f"the header has {len(header)}")
-            values = []
-            for name, col in zip(FIXATION_COLUMNS, columns):
-                try:
-                    value = float(row[col])
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise GazeFileError(f"{path}:{reader.line_num}: {name} {row[col]!r} "
-                                        f"is not a finite number")
-                values.append(value)
-            fixations.append(Fixation(*values))
+    fixations = [Fixation(*finite_floats(fields, FIXATION_COLUMNS, GazeFileError, path, line))
+                 for line, fields in read_csv_rows(path, FIXATION_COLUMNS, "fixation file",
+                                                   GazeFileError)]
     fixations.sort(key=lambda fx: fx.t_ms)
     return fixations
 
@@ -284,14 +262,13 @@ LAYOUT_REQUIRED = ("origin_x_px", "origin_y_px", "char_width_px", "line_height_p
 
 def load_layout(path: str | os.PathLike) -> LayoutSpec:
     """A JSON object of LayoutSpec's fields; all but `tab_width` are required."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise GazeFileError(f"layout {path}: invalid JSON: {e}") from e
     types = field_types(LayoutSpec)
+    text = read_text(path, GazeFileError)  # not in the try: its error names the file
     try:
+        obj = json.loads(text)
         check_json_object(obj, types, "layout")
+    except json.JSONDecodeError as e:
+        raise GazeFileError(f"layout {path}: invalid JSON: {e}") from e
     except ValueError as e:
         raise GazeFileError(f"layout {path}: {e}") from e
     missing = [key for key in LAYOUT_REQUIRED if key not in obj]
@@ -341,9 +318,7 @@ def trajectory_from_obj(obj) -> Trajectory:
 
 
 def write_trajectories_jsonl(trajectories: list[Trajectory], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for traj in trajectories:
-            f.write(json.dumps(trajectory_to_obj(traj), sort_keys=True) + "\n")
+    write_jsonl(path, map(trajectory_to_obj, trajectories))
 
 
 def read_trajectories_jsonl(path: str | os.PathLike) -> list[Trajectory]:
@@ -354,20 +329,19 @@ def read_trajectories_jsonl(path: str | os.PathLike) -> list[Trajectory]:
     whose weights sum to 0, which leaves no loss to average.
     """
     trajectories = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise GazeFileError(f"{path}:{line_no}: invalid JSON: {e.msg} "
-                                    f"at column {e.colno}") from e
-            try:
-                trajectories.append(trajectory_from_obj(obj))
-            except ValueError as e:
-                raise GazeFileError(f"{path}:{line_no}: {e}") from e
+    for line_no, line in enumerate(read_text(path, GazeFileError).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise GazeFileError(f"{path}:{line_no}: invalid JSON: {e.msg} "
+                                f"at column {e.colno}") from e
+        try:
+            trajectories.append(trajectory_from_obj(obj))
+        except ValueError as e:
+            raise GazeFileError(f"{path}:{line_no}: {e}") from e
     if trajectories and sum(traj.weight for traj in trajectories) == 0:
         raise GazeFileError(f"trajectory file {path}: the weights sum to 0")
     return trajectories

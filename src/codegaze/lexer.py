@@ -1,26 +1,45 @@
-"""Language-agnostic source tokenizer with line/column spans.
+"""Language-agnostic source tokenizer with line/column spans, and the
+input-file checks every reader shares.
 
 The lexer is deterministic and total: identifiers, numbers, quoted
 strings, single-character operator/punct tokens, and comment bodies
 split on whitespace. Columns are reported after tab expansion, so they
 line up with a monospace rendering of the code.
+
+A DataError is bad input: an input file that is not UTF-8 text or is
+malformed, or an unknown snippet id. Every input reader opens its file
+with `read_text`, and each raises its own DataError subclass.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import json
+import math
 import os
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 
-class LexError(ValueError):
+class DataError(ValueError):
+    """Raised on bad input data; the CLI exits 2 on it."""
+
+
+class UnknownSnippetError(DataError, KeyError):
+    """Raised when a snippet id is not in the corpus."""
+
+    __str__ = ValueError.__str__  # not KeyError's, which quotes the message
+
+
+class LexError(DataError):
     """Raised on malformed input, e.g. an unterminated string literal."""
 
 
-class LabelFileError(ValueError):
+class LabelFileError(DataError):
     """Raised on a malformed labels CSV."""
 
 
@@ -62,14 +81,9 @@ class Snippet:
     task: TaskLabel | None = None
 
 
-PUNCT_CHARS = set("()[]{},;:")
 OPERATOR_CHARS = set("+-*/=<>!&|%^~.?@$\\")
 COMMENT_MARKERS = ("//", "#")
 _MARKER_STARTS = frozenset(m[0] for m in COMMENT_MARKERS)
-
-
-def _expand_tabs(line: str, tab_width: int) -> str:
-    return line.expandtabs(tab_width)
 
 
 def tokenize(source: str, keyword_set: set[str] | frozenset[str] = frozenset(),
@@ -78,7 +92,7 @@ def tokenize(source: str, keyword_set: set[str] | frozenset[str] = frozenset(),
     tokens: list[Token] = []
     lines = source.split("\n")
     for line_no, raw in enumerate(lines):
-        line = _expand_tabs(raw, tab_width)
+        line = raw.expandtabs(tab_width)
         i = 0
         n = len(line)
         while i < n:
@@ -128,18 +142,77 @@ def tokenize(source: str, keyword_set: set[str] | frozenset[str] = frozenset(),
                 tokens.append(Token(line[i:j + 1], TokenKind.STRING, line_no, i, j + 1))
                 i = j + 1
                 continue
-            if ch in PUNCT_CHARS:
-                tokens.append(Token(ch, TokenKind.PUNCT, line_no, i, i + 1))
-                i += 1
-                continue
-            if ch in OPERATOR_CHARS:
-                tokens.append(Token(ch, TokenKind.OPERATOR, line_no, i, i + 1))
-                i += 1
-                continue
-            # Anything else (unicode symbols etc.) is treated as punctuation.
-            tokens.append(Token(ch, TokenKind.PUNCT, line_no, i, i + 1))
+            # Anything else (brackets, commas, unicode symbols etc.) is punctuation.
+            kind = TokenKind.OPERATOR if ch in OPERATOR_CHARS else TokenKind.PUNCT
+            tokens.append(Token(ch, kind, line_no, i, i + 1))
             i += 1
     return Snippet(id=snippet_id, tokens=tokens, n_lines=len(lines))
+
+
+def read_text(path: str | os.PathLike, error: type[DataError]) -> str:
+    """The text of UTF-8 file `path`, each "\\r\\n" or "\\r" read as "\\n" as
+    `open` reads it. Raises `error`, naming `path:line`, if it is not UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({e.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def write_jsonl(path: str | os.PathLike, objs) -> None:
+    """Each object as one line of canonical JSON (sorted keys)."""
+    with open(path, "w", encoding="utf-8") as f:
+        for obj in objs:
+            f.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def read_csv_rows(path: str | os.PathLike, columns: tuple[str, ...], what: str,
+                  error: type[DataError]):
+    """Yields (line number, the `columns` fields) of each non-blank row of a
+    CSV file. Raises `error` on a header that lacks one of `columns` and,
+    naming `path:line`, on a row whose field count differs from the header's."""
+    reader = csv.reader(io.StringIO(read_text(path, error)))
+    try:
+        header = next(reader, None)
+        if header is None or not set(columns).issubset(header):
+            raise error(f"{what} {path}: header must contain {','.join(columns)}")
+        pick = itemgetter(*(header.index(name) for name in columns))
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise error(f"{path}:{reader.line_num}: {len(row)} fields, "
+                            f"the header has {len(header)}")
+            yield reader.line_num, pick(row)
+    except csv.Error as e:  # a field longer than csv.field_size_limit()
+        raise error(f"{path}:{reader.line_num}: {e}") from None
+
+
+def finite_floats(texts, names, error: type[DataError], path: str | os.PathLike,
+                  line: int) -> list[float]:
+    """`texts`, read from line `line` of file `path`, parsed as floats. Raises
+    `error`, naming `path:line` and, by its entry of `names`, the first text
+    that is not a finite number."""
+    values = []
+    for name, text in zip(names, texts):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise error(f"{path}:{line}: {name} {text!r} is not a finite number")
+        values.append(value)
+    return values
+
+
+def lookup_snippet(corpus: dict[str, Snippet], sid: str, message: str) -> Snippet:
+    """`corpus[sid]`; raises UnknownSnippetError(message) if there is none."""
+    if sid not in corpus:
+        raise UnknownSnippetError(message)
+    return corpus[sid]
 
 
 def load_corpus(corpus_dir: str | os.PathLike, keyword_set: set[str] | frozenset[str] = frozenset(),
@@ -149,7 +222,7 @@ def load_corpus(corpus_dir: str | os.PathLike, keyword_set: set[str] | frozenset
     for path in sorted(Path(corpus_dir).iterdir()):
         if not path.is_file():
             continue
-        snippet = tokenize(path.read_text(encoding="utf-8"), keyword_set,
+        snippet = tokenize(read_text(path, LexError), keyword_set,
                            tab_width=tab_width, snippet_id=path.stem)
         corpus[snippet.id] = snippet
     return corpus
@@ -166,31 +239,20 @@ def load_labels(labels_path: str | os.PathLike) -> dict[str, dict[LabelKind, int
     LabelKind or whose value is not an integer.
     """
     labels: dict[str, dict[LabelKind, int]] = {}
-    with open(labels_path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or not set(LABEL_COLUMNS).issubset(header):
-            raise LabelFileError(f"labels file {labels_path}: header must contain "
-                                 f"{','.join(LABEL_COLUMNS)}")
-        sid_col, kind_col, value_col = (header.index(name) for name in LABEL_COLUMNS)
-        kinds = ", ".join(kind.value for kind in LabelKind)
-        for row in reader:
-            if not row:
-                continue
-            where = f"{labels_path}:{reader.line_num}"
-            if len(row) != len(header):
-                raise LabelFileError(f"{where}: {len(row)} fields, the header has {len(header)}")
-            try:
-                kind = LabelKind(row[kind_col])
-            except ValueError:
-                raise LabelFileError(f"{where}: kind {row[kind_col]!r} is not one of "
-                                     f"{kinds}") from None
-            try:
-                value = int(row[value_col])
-            except ValueError:
-                raise LabelFileError(f"{where}: value {row[value_col]!r} is not an "
-                                     f"integer") from None
-            labels.setdefault(row[sid_col], {})[kind] = value
+    kinds = ", ".join(kind.value for kind in LabelKind)
+    for line, (sid, kind, value) in read_csv_rows(labels_path, LABEL_COLUMNS, "labels file",
+                                                  LabelFileError):
+        try:
+            kind = LabelKind(kind)
+        except ValueError:
+            raise LabelFileError(f"{labels_path}:{line}: kind {kind!r} is not one of "
+                                 f"{kinds}") from None
+        try:
+            value = int(value)
+        except ValueError:
+            raise LabelFileError(f"{labels_path}:{line}: value {value!r} is not an "
+                                 f"integer") from None
+        labels.setdefault(sid, {})[kind] = value
     return labels
 
 
@@ -201,12 +263,8 @@ def attach_labels(corpus: dict[str, Snippet], labels: dict[str, dict[LabelKind, 
         kinds = labels.get(sid)
         if not kinds:
             continue
-        if prefer is not None and prefer in kinds:
-            snippet.task = TaskLabel(prefer, kinds[prefer])
-        elif LabelKind.BUG in kinds:
-            snippet.task = TaskLabel(LabelKind.BUG, kinds[LabelKind.BUG])
-        else:
-            snippet.task = TaskLabel(LabelKind.CLASS, kinds[LabelKind.CLASS])
+        kind = next(k for k in (prefer, LabelKind.BUG, LabelKind.CLASS) if k in kinds)
+        snippet.task = TaskLabel(kind, kinds[kind])
 
 
 def check_json_object(obj, types: dict[str, type], what: str) -> None:

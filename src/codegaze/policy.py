@@ -34,6 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
+from .lexer import DataError
 
 TASK_NONE = "none"
 TASK_CLASSIFY = "classify"
@@ -211,7 +212,7 @@ def _gru_backward(p: dict[str, np.ndarray], prefix: str, run: GRURun, G: np.ndar
     return grads, dA @ _input_weights(p, prefix).T, dh
 
 
-class EmptySequenceError(ValueError):
+class EmptySequenceError(DataError):
     """Raised when a snippet with no tokens is encoded."""
 
 

@@ -26,7 +26,8 @@ from . import autodiff as ad
 from . import policy
 from .features import FeatureSpec, Vocab, build_vocab, featurize, load_embedding_table
 from .gaze import EmptyTrajectoryError, StepRangeError, Trajectory, check_steps
-from .lexer import LabelKind, Snippet, check_json_object, field_types
+from .lexer import (DataError, LabelKind, Snippet, check_json_object, field_types,
+                    lookup_snippet, read_text)
 
 FORMAT_VERSION = 1
 FLOAT_ENCODING = "shortest-roundtrip-decimal"
@@ -36,7 +37,7 @@ FLOAT_ENCODING = "shortest-roundtrip-decimal"
 ROW_BUDGET = 256
 
 
-class CheckpointError(ValueError):
+class CheckpointError(DataError):
     """Raised on malformed or incompatible checkpoint files."""
 
 
@@ -167,9 +168,8 @@ def _check_trajectories(trajectories: list[Trajectory], snippets: dict[str, Snip
     if sum(traj.weight for traj in trajectories) == 0:
         raise EmptyTrajectoryError("the trajectory weights sum to 0, leaving no loss to average")
     for traj in trajectories:
-        if traj.snippet_id not in snippets:
-            raise KeyError(f"trajectory references unknown snippet {traj.snippet_id!r}")
-        snippet = snippets[traj.snippet_id]
+        snippet = lookup_snippet(snippets, traj.snippet_id,
+                                 f"trajectory references unknown snippet {traj.snippet_id!r}")
         check_steps(traj, snippet)
         label = _task_value(traj, cfg.task_mode)
         if cfg.task_mode == policy.TASK_CLASSIFY:
@@ -186,7 +186,7 @@ def train(trajectories: list[Trajectory], snippets: dict[str, Snippet],
           min_count: int = 1) -> Checkpoint:
     """Fit the policy to weighted expert trajectories; vocab comes from `snippets`."""
     if not trajectories:
-        raise ValueError("empty dataset")
+        raise EmptyTrajectoryError("empty dataset")
     _check_trajectories(trajectories, snippets, cfg)
     if feature_spec is None:
         feature_spec = FeatureSpec(mode="onehot_pos")
@@ -242,7 +242,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
         },
         "epoch_log": ckpt.epoch_log,
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8") as f:  # streamed: the whole text is never held
         json.dump(obj, f, sort_keys=True)
         f.write("\n")
 
@@ -300,11 +300,10 @@ def _params_from_obj(obj, cfg: policy.BCConfig, spec: FeatureSpec,
 
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
-    with open(path, encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise CheckpointError(f"checkpoint {path}: invalid JSON: {e}") from e
+    try:
+        obj = json.loads(read_text(path, CheckpointError))
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"checkpoint {path}: invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise CheckpointError(f"checkpoint {path}: must be a JSON object")
     if obj.get("format_version") != FORMAT_VERSION:

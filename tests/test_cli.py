@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import filecmp
@@ -10,7 +11,7 @@ import pytest
 
 import codegaze
 from codegaze import synth
-from codegaze.cli import DEFAULTS, build_parser, main
+from codegaze.cli import COMMANDS, DEFAULTS, build_parser, main
 
 
 def run_cli(*args):
@@ -621,3 +622,102 @@ def test_bad_embedding_table_row_is_data_error(tmp_path, capsys, row, message):
     table.write_text("if 0.5 -0.5\n\nfor 1 2\n")
     assert run_cli(*train_args(tmp_path, "--feature-mode", "external",
                                "--embed-path", str(table))) == 0
+
+
+def _corpus_file(root):
+    return root / "corpus" / "snip0003.txt", [
+        "tokenize", "--corpus-dir", str(root / "corpus"), "--out", str(root / "tokens.jsonl")]
+
+
+def _labels(root):
+    return root / "labels.csv", train_args(root, "--labels", str(root / "labels.csv"))
+
+
+def _fixations(root):
+    return root / "gaze" / "snip0003.csv", ingest_args(root)
+
+
+def _layout(root):
+    return root / "layout.json", ingest_args(root)
+
+
+def _trajectories(root):
+    return root / "demos.jsonl", ["augment", "--corpus-dir", str(root / "corpus"),
+                                  "--trajectories", str(root / "demos.jsonl"),
+                                  "--out", str(root / "aug.jsonl")]
+
+
+def _checkpoint(root):
+    assert train_small(root, root / "demos.jsonl") == 0
+    return root / "ckpt.json", ["rollout", "--checkpoint", str(root / "ckpt.json"),
+                                "--corpus-dir", str(root / "corpus"), "--snippet", "snip0003"]
+
+
+def _embedding_table(root):
+    (root / "emb.txt").write_text("if 0.5 -0.5\nfor 1 2\n")
+    return root / "emb.txt", train_args(root, "--feature-mode", "external",
+                                        "--embed-path", str(root / "emb.txt"))
+
+
+@pytest.mark.parametrize("reader", [_corpus_file, _labels, _fixations, _layout, _trajectories,
+                                    _checkpoint, _embedding_table])
+def test_non_utf8_input_file_is_data_error(tmp_path, capsys, reader):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    path, argv = reader(tmp_path)
+    line = len(path.read_bytes().splitlines()) + 1
+    path.write_bytes(path.read_bytes() + b"caf\xe9 1 2\n")
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert one_error_line(capsys).startswith(f"error: {path}:{line}: not UTF-8 text")
+
+
+def test_corpus_dir_naming_a_file_is_data_error(tmp_path, capsys):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    not_dir = tmp_path / "labels.csv"
+    capsys.readouterr()
+    assert run_cli("tokenize", "--corpus-dir", str(not_dir),
+                   "--out", str(tmp_path / "tokens.jsonl")) == 2
+    assert str(not_dir) in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda root: train_args(root, "--checkpoint", str(root / "corpus")),
+    lambda root: ["rollout", "--checkpoint", str(root / "corpus"),
+                  "--corpus-dir", str(root / "corpus"), "--snippet", "snip0003"],
+    lambda root: ["augment", "--corpus-dir", str(root / "corpus"),
+                  "--trajectories", str(root / "demos.jsonl"), "--out", str(root / "corpus")],
+    lambda root: train_args(root, "--metrics-out", str(root / "corpus")),
+], ids=["train-checkpoint", "rollout-checkpoint", "augment-out", "train-metrics-out"])
+def test_file_option_naming_a_directory_is_data_error(tmp_path, capsys, argv):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    capsys.readouterr()
+    assert run_cli(*argv(tmp_path)) == 2
+    assert str(tmp_path / "corpus") in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("name", ["missing.json", "corpus"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, name):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    capsys.readouterr()
+    assert run_cli(*train_args(tmp_path, "--config", str(tmp_path / name))) == 1
+    assert one_error_line(capsys).startswith(f"error: config {tmp_path / name}: ")
+
+
+def test_key_error_from_a_bug_is_not_a_data_error(monkeypatch):
+    def broken(cfg):
+        return {}["no such key"]
+
+    monkeypatch.setitem(COMMANDS, "tokenize", broken)
+    with pytest.raises(KeyError):
+        run_cli("tokenize")
+
+
+def test_csv_field_over_the_size_limit_is_data_error(tmp_path, capsys):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    gaze_file = tmp_path / "gaze" / "snip0003.csv"
+    line = len(gaze_file.read_text().splitlines()) + 1
+    gaze_file.write_text(gaze_file.read_text() + "0," + "9" * 200_000 + ",20,100\n")
+    capsys.readouterr()
+    assert run_cli(*ingest_args(tmp_path)) == 2
+    assert one_error_line(capsys) == (f"error: {gaze_file}:{line}: field larger than "
+                                      f"field limit ({csv.field_size_limit()})")

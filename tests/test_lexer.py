@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codegaze.lexer import (LabelFileError, LabelKind, LexError, TokenKind, attach_labels,
-                            load_corpus, load_labels, tokenize)
+from codegaze.lexer import (DataError, LabelFileError, LabelKind, LexError, TokenKind,
+                            UnknownSnippetError, attach_labels, load_corpus, load_labels,
+                            lookup_snippet, tokenize)
 
 
 def spans(snippet):
@@ -145,3 +146,12 @@ def test_labels_columns_in_any_order_and_lines_counted(tmp_path):
     with pytest.raises(LabelFileError) as e:
         load_labels(path)
     assert str(e.value) == f"{path}:5: value 'x' is not an integer"
+
+
+def test_unknown_snippet_error_is_a_key_error_with_a_plain_message():
+    corpus = {"a": tokenize("x", snippet_id="a")}
+    assert lookup_snippet(corpus, "a", "unused") is corpus["a"]
+    with pytest.raises(UnknownSnippetError) as info:
+        lookup_snippet(corpus, "b", "snippet 'b' not found")
+    assert isinstance(info.value, KeyError) and isinstance(info.value, DataError)
+    assert str(info.value) == "snippet 'b' not found"

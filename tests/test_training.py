@@ -217,3 +217,9 @@ def test_evaluate_featurizes_only_referenced_snippets(monkeypatch):
     assert training.evaluate(ckpt, held, snippets) == training.evaluate(ckpt, held, referenced)
     assert sorted(featurized) == sorted(2 * list(referenced))
     assert snippets == before  # the caller's snippets are not written to
+
+
+def test_training_on_no_trajectories_is_a_data_error():
+    snippets, _ = tiny_dataset()
+    with pytest.raises(EmptyTrajectoryError, match="empty dataset"):
+        training.train([], snippets, BCConfig(**TINY_NET))
