@@ -7,7 +7,8 @@ Exit codes: 0 success; 1 usage or config error, including a ``--config``
 file that cannot be opened or read; 2 data error, that is a
 `lexer.DataError` or an OSError: an input file that cannot be opened, is
 not UTF-8 text or is malformed, an output file that cannot be written, or
-an unknown snippet id.
+an unknown snippet id. Each command checks the files it will write before
+it reads any input (see `_check_outputs`).
 """
 
 from __future__ import annotations
@@ -91,6 +92,16 @@ def _require(cfg: dict, *keys: str) -> None:
         raise UsageError(f"missing required option(s): {', '.join(missing)}")
 
 
+def _check_outputs(cfg: dict, *keys: str) -> None:
+    """Opens each file option in `keys` that is set for appending, and closes
+    it, so that an output that cannot be written fails before the work.
+    Appending leaves an existing file as it is; a file this creates stays,
+    empty, if the work fails later."""
+    for key in keys:
+        if cfg[key]:
+            open(cfg[key], "a", encoding="utf-8").close()
+
+
 def _keyword_set(cfg: dict) -> set[str]:
     if cfg["keywords"]:
         return set(cfg["keywords"].split(","))
@@ -101,7 +112,8 @@ def _load_corpus(cfg: dict) -> dict:
     _require(cfg, "corpus_dir")
     corpus = load_corpus(cfg["corpus_dir"], _keyword_set(cfg), tab_width=cfg["tab_width"])
     if cfg["labels"]:
-        prefer = LabelKind.BUG if cfg["task_mode"] == "localize" else LabelKind.CLASS
+        # The none head has no label kind; it keeps class, as ingest's output does.
+        prefer = policy.TASK_KINDS.get(cfg["task_mode"], LabelKind.CLASS)
         attach_labels(corpus, load_labels(cfg["labels"]), prefer=prefer)
     return corpus
 
@@ -126,6 +138,7 @@ def _split_trajectories(trajectories, split: str):
 
 def cmd_tokenize(cfg: dict) -> int:
     _require(cfg, "corpus_dir", "out")
+    _check_outputs(cfg, "out")
     corpus = _load_corpus(cfg)
     write_jsonl(cfg["out"], ({"id": sid, "n_lines": corpus[sid].n_lines, "tokens": [
         {"text": t.text, "kind": t.kind.value, "line": t.line,
@@ -136,6 +149,7 @@ def cmd_tokenize(cfg: dict) -> int:
 
 def cmd_ingest(cfg: dict) -> int:
     _require(cfg, "corpus_dir", "gaze_dir", "layout", "out")
+    _check_outputs(cfg, "out")
     layout = load_layout(cfg["layout"])
     corpus = _load_corpus(dict(cfg, tab_width=layout.tab_width))
     trajectories = []
@@ -153,6 +167,7 @@ def cmd_ingest(cfg: dict) -> int:
 
 def cmd_augment(cfg: dict) -> int:
     _require(cfg, "corpus_dir", "trajectories", "out")
+    _check_outputs(cfg, "out")
     corpus = _load_corpus(cfg)
     expanded = []
     for i, traj in enumerate(read_trajectories_jsonl(cfg["trajectories"])):
@@ -185,6 +200,8 @@ def cmd_synth(cfg: dict) -> int:
     gaze_dir = Path(cfg["gaze_dir"]) if cfg["gaze_dir"] else None
     if gaze_dir:
         gaze_dir.mkdir(parents=True, exist_ok=True)
+        _check_outputs(cfg, "layout")
+    _check_outputs(cfg, "labels", "out")
 
     # Each snippet is generated and lexed once, and only its labels and its
     # demo outlive the loop.
@@ -207,6 +224,7 @@ def cmd_synth(cfg: dict) -> int:
 
 def cmd_train(cfg: dict) -> int:
     _require(cfg, "corpus_dir", "trajectories", "checkpoint")
+    _check_outputs(cfg, "checkpoint", "metrics_out")
     corpus = _load_corpus(cfg)
     trajectories = read_trajectories_jsonl(cfg["trajectories"])
     train_trajs = _split_trajectories(trajectories, "train")
@@ -214,7 +232,7 @@ def cmd_train(cfg: dict) -> int:
         raise EmptyTrajectoryError("no trajectories in the training split")
     train_ids = {t.snippet_id for t in train_trajs}
     train_snippets = {sid: sn for sid, sn in corpus.items() if sid in train_ids}
-    _backfill_tasks(train_trajs, train_snippets, cfg["task_mode"])
+    _backfill_tasks(train_trajs, train_snippets)
     ckpt = training.train(train_trajs, train_snippets, _from_cfg(policy.BCConfig, cfg),
                           _feature_spec(cfg), min_count=cfg["min_count"])
     training.save_checkpoint(ckpt, cfg["checkpoint"])
@@ -223,7 +241,7 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _backfill_tasks(trajectories, corpus, task_mode: str) -> None:
+def _backfill_tasks(trajectories, corpus) -> None:
     """Give label-less trajectories their snippet's task label."""
     for traj in trajectories:
         if traj.task is None and traj.snippet_id in corpus:
@@ -239,7 +257,7 @@ def cmd_eval(cfg: dict) -> int:
     corpus = _load_corpus(cfg)
     trajectories = _split_trajectories(
         read_trajectories_jsonl(cfg["trajectories"]), cfg["split"])
-    _backfill_tasks(trajectories, corpus, ckpt.config.task_mode)
+    _backfill_tasks(trajectories, corpus)
     metrics = training.evaluate(ckpt, trajectories, corpus)
     print(json.dumps({"action_accuracy": metrics.action_accuracy,
                       "task_accuracy": metrics.task_accuracy,

@@ -141,15 +141,13 @@ def merge_consecutive(steps: list[int]) -> list[int]:
     return out
 
 
-def check_steps(traj: Trajectory, snippet: Snippet) -> None:
-    """Rejects an empty trajectory or a step that is not a token of the snippet."""
-    if not traj.steps:
-        raise EmptyTrajectoryError(f"trajectory for snippet {traj.snippet_id!r} has no steps")
-    n = len(snippet.tokens)
-    for s in traj.steps:
-        if not 0 <= s < n:
-            raise StepRangeError(f"trajectory for snippet {traj.snippet_id!r}: "
-                                 f"step {s} out of range for {n} tokens")
+def check_steps(steps: list[int], n_tokens: int, what: str) -> None:
+    """Rejects no steps or a step outside [0, n_tokens); `what` names the trajectory."""
+    if not steps:
+        raise EmptyTrajectoryError(f"{what} has no steps")
+    for s in steps:
+        if not 0 <= s < n_tokens:
+            raise StepRangeError(f"{what}: step {s} out of range for {n_tokens} tokens")
 
 
 def build_trajectory(fixations: list[Fixation], layout: LayoutSpec, snippet: Snippet,
@@ -175,7 +173,7 @@ def augment(traj: Trajectory, snippet: Snippet, sigma_tokens: float, m: int,
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    check_steps(traj, snippet)
+    check_steps(traj.steps, len(snippet.tokens), f"trajectory for snippet {traj.snippet_id!r}")
     if m == 0:
         return [replace(traj, steps=list(traj.steps), weight=1.0)]
     if sigma_tokens <= 0:

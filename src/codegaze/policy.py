@@ -5,7 +5,11 @@ from the final encoder state, points back into the input at each step
 (pointer attention, Vinyals et al. 2015). Termination is an extra pointer
 slot with a learned key, so the action space is uniformly "token index or
 stop". A task head can emit a class label (softmax over classes) or a bug
-location (a second pointer over the tokens).
+location (a second pointer over the tokens). This module decides what a
+head trains on: `TASK_KINDS` names the label kind each head reads,
+`task_value` picks a trajectory's label for it, and `check_trajectory` is
+the one check that a trajectory's steps and label fit the head; training
+and the CLI ask it rather than repeat its rules.
 
 One plain-numpy GRU cell (`gru_step`, z and r from one fused matmul) and
 one pointer-score function (`pointer_scores`) do all the arithmetic.
@@ -34,11 +38,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .lexer import DataError
+from .gaze import StepRangeError, check_steps
+from .lexer import DataError, LabelKind, TaskLabel
 
 TASK_NONE = "none"
 TASK_CLASSIFY = "classify"
 TASK_LOCALIZE = "localize"
+TASK_KINDS = {TASK_CLASSIFY: LabelKind.CLASS, TASK_LOCALIZE: LabelKind.BUG}
 
 INIT_RANGE = 0.08
 
@@ -67,10 +73,30 @@ class BCConfig:
             raise ValueError("batch must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.task_mode not in (TASK_NONE, TASK_CLASSIFY, TASK_LOCALIZE):
+        if self.task_mode not in (TASK_NONE, *TASK_KINDS):
             raise ValueError(f"unknown task_mode {self.task_mode!r}")
         if self.task_mode == TASK_CLASSIFY and self.n_classes < 2:
             raise ValueError("classify mode needs n_classes >= 2")
+
+
+def task_value(task: TaskLabel | None, task_mode: str) -> int | None:
+    """The value of `task` if it is the label kind the `task_mode` head
+    trains on, else None."""
+    return task.value if task is not None and task.kind is TASK_KINDS.get(task_mode) else None
+
+
+def check_trajectory(steps: list[int], n_tokens: int, label: int | None, cfg: BCConfig,
+                     what: str) -> None:
+    """Rejects what cfg's policy cannot train on: no steps, a step that is
+    not a token index (`gaze.check_steps`), or a label outside the head's
+    classes or tokens. `what` names the trajectory in the message."""
+    check_steps(steps, n_tokens, what)
+    if label is None or cfg.task_mode not in TASK_KINDS:
+        return
+    slots, unit = ((cfg.n_classes, "classes") if cfg.task_mode == TASK_CLASSIFY
+                   else (n_tokens, "tokens"))
+    if not 0 <= label < slots:
+        raise StepRangeError(f"{what}: task label {label} out of range for {slots} {unit}")
 
 
 def param_shapes(d_feat: int, cfg: BCConfig) -> dict[str, tuple[int, ...]]:
@@ -302,15 +328,8 @@ def _check_group(features: list[np.ndarray], steps: list[list[int]],
     if not features or not len(features) == len(steps) == len(labels):
         raise ValueError(f"{len(features)} feature matrices for {len(steps)} trajectories "
                          f"and {len(labels)} labels")
-    for f, s, label in zip(features, steps, labels):
-        if not s:
-            raise ValueError("trajectory must be non-empty")
-        for i in s:
-            if not 0 <= i < f.shape[0]:
-                raise IndexError(f"step index {i} out of range for {f.shape[0]} tokens")
-        slots = {TASK_CLASSIFY: cfg.n_classes, TASK_LOCALIZE: f.shape[0]}.get(cfg.task_mode)
-        if label is not None and slots is not None and not 0 <= label < slots:
-            raise IndexError(f"task label {label} out of range for {slots} slots")
+    for b, (f, s, label) in enumerate(zip(features, steps, labels)):
+        check_trajectory(s, f.shape[0], label, cfg, f"trajectory {b}")
 
 
 def forward_teacher(features: list[np.ndarray], steps: list[list[int]], p: dict,

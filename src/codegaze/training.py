@@ -24,10 +24,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import policy
-from .features import FeatureSpec, Vocab, build_vocab, featurize, load_embedding_table
-from .gaze import EmptyTrajectoryError, StepRangeError, Trajectory, check_steps
-from .lexer import (DataError, LabelKind, Snippet, check_json_object, field_types,
-                    lookup_snippet, read_text)
+from .features import (EmbeddingTableError, FeatureSpec, Vocab, build_vocab, featurize,
+                       load_embedding_table)
+from .gaze import EmptyTrajectoryError, Trajectory
+from .lexer import DataError, Snippet, check_json_object, field_types, lookup_snippet, read_text
 
 FORMAT_VERSION = 1
 FLOAT_ENCODING = "shortest-roundtrip-decimal"
@@ -66,22 +66,15 @@ def split_by_id(ids: list[str]) -> tuple[list[str], list[str]]:
     return train, held
 
 
-def _task_value(traj: Trajectory, task_mode: str) -> int | None:
-    if traj.task is None:
-        return None
-    if task_mode == policy.TASK_CLASSIFY and traj.task.kind is LabelKind.CLASS:
-        return traj.task.value
-    if task_mode == policy.TASK_LOCALIZE and traj.task.kind is LabelKind.BUG:
-        return traj.task.value
-    return None
-
-
-def _feature_cache(trajectories: list[Trajectory], snippets: dict[str, Snippet],
-                   spec: FeatureSpec, vocab: Vocab) -> dict[str, np.ndarray]:
-    """Features of the snippets the trajectories reference, by snippet id."""
+def _feature_cache(ids, snippets: dict[str, Snippet], spec: FeatureSpec, vocab: Vocab,
+                   d_in: int | None = None) -> dict[str, np.ndarray]:
+    """Features of the snippets `ids` names, by snippet id. Given `d_in`,
+    the row count of a checkpoint's W_in, an external table must be that wide."""
     table = load_embedding_table(spec.path) if spec.mode == "external" else None
-    ids = dict.fromkeys(traj.snippet_id for traj in trajectories)
-    return {sid: featurize(snippets[sid], spec, vocab, table) for sid in ids}
+    if table is not None and d_in is not None and spec.dim(vocab, table) != d_in:
+        raise EmbeddingTableError(f"embedding table {spec.path}: width {spec.dim(vocab, table)}, "
+                                  f"but the checkpoint's W_in has {d_in} rows")
+    return {sid: featurize(snippets[sid], spec, vocab, table) for sid in dict.fromkeys(ids)}
 
 
 def lockstep_groups(trajectories: list[Trajectory], feats: dict[str, np.ndarray],
@@ -111,7 +104,7 @@ def _run_group(group, feats, cfg, params, train_mode):
     Returns the group's loss and (targets, hits, task hit or None) per
     trajectory as plain numbers, so the group's node is freed on return.
     """
-    labels = [_task_value(traj, cfg.task_mode) for traj in group]
+    labels = [policy.task_value(traj.task, cfg.task_mode) for traj in group]
     loss, outputs = policy.forward_teacher(
         [feats[t.snippet_id] for t in group], [t.steps for t in group], params, cfg,
         labels, [t.weight for t in group])
@@ -170,15 +163,9 @@ def _check_trajectories(trajectories: list[Trajectory], snippets: dict[str, Snip
     for traj in trajectories:
         snippet = lookup_snippet(snippets, traj.snippet_id,
                                  f"trajectory references unknown snippet {traj.snippet_id!r}")
-        check_steps(traj, snippet)
-        label = _task_value(traj, cfg.task_mode)
-        if cfg.task_mode == policy.TASK_CLASSIFY:
-            slots, what = cfg.n_classes, "classes"
-        else:
-            slots, what = len(snippet.tokens), "tokens"
-        if label is not None and not 0 <= label < slots:
-            raise StepRangeError(f"trajectory for snippet {traj.snippet_id!r}: "
-                                 f"task label {label} out of range for {slots} {what}")
+        policy.check_trajectory(traj.steps, len(snippet.tokens),
+                                policy.task_value(traj.task, cfg.task_mode), cfg,
+                                f"trajectory for snippet {traj.snippet_id!r}")
 
 
 def train(trajectories: list[Trajectory], snippets: dict[str, Snippet],
@@ -191,7 +178,7 @@ def train(trajectories: list[Trajectory], snippets: dict[str, Snippet],
     if feature_spec is None:
         feature_spec = FeatureSpec(mode="onehot_pos")
     vocab = build_vocab(list(snippets.values()), min_count=min_count)
-    feats = _feature_cache(trajectories, snippets, feature_spec, vocab)
+    feats = _feature_cache((t.snippet_id for t in trajectories), snippets, feature_spec, vocab)
     d_feat = next(iter(feats.values())).shape[1]
 
     params = policy.init_params(d_feat, cfg)
@@ -216,13 +203,15 @@ def evaluate(ckpt: Checkpoint, trajectories: list[Trajectory],
     if not trajectories:
         raise EmptyTrajectoryError("cannot evaluate on an empty trajectory set")
     _check_trajectories(trajectories, snippets, ckpt.config)
-    feats = _feature_cache(trajectories, snippets, ckpt.feature_spec, ckpt.vocab)
+    feats = _feature_cache((t.snippet_id for t in trajectories), snippets, ckpt.feature_spec,
+                           ckpt.vocab, ckpt.params["W_in"].shape[0])
     return _run_pass(trajectories, feats, ckpt.config, ckpt.params, False)
 
 
 def predict(ckpt: Checkpoint, snippet: Snippet, max_steps: int = 256):
     """Greedy rollout of a checkpointed policy on one snippet."""
-    features = featurize(snippet, ckpt.feature_spec, ckpt.vocab)
+    features = _feature_cache([snippet.id], {snippet.id: snippet}, ckpt.feature_spec,
+                              ckpt.vocab, ckpt.params["W_in"].shape[0])[snippet.id]
     return policy.rollout(features, ckpt.params, max_steps, ckpt.config.task_mode)
 
 

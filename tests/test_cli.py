@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import codegaze
-from codegaze import synth
+from codegaze import cli, synth, training
 from codegaze.cli import COMMANDS, DEFAULTS, build_parser, main
+from codegaze.lexer import LabelKind
 
 
 def run_cli(*args):
@@ -687,12 +688,73 @@ def test_corpus_dir_naming_a_file_is_data_error(tmp_path, capsys):
     lambda root: ["augment", "--corpus-dir", str(root / "corpus"),
                   "--trajectories", str(root / "demos.jsonl"), "--out", str(root / "corpus")],
     lambda root: train_args(root, "--metrics-out", str(root / "corpus")),
-], ids=["train-checkpoint", "rollout-checkpoint", "augment-out", "train-metrics-out"])
-def test_file_option_naming_a_directory_is_data_error(tmp_path, capsys, argv):
+    lambda root: [*ingest_args(root)[:-1], str(root / "corpus")],
+    lambda root: ["tokenize", "--corpus-dir", str(root / "corpus"), "--out", str(root / "corpus")],
+    lambda root: synth_args(root, labels=root / "corpus"),
+], ids=["train-checkpoint", "rollout-checkpoint", "augment-out", "train-metrics-out",
+        "ingest-out", "tokenize-out", "synth-labels"])
+def test_file_option_naming_a_directory_is_data_error(tmp_path, capsys, monkeypatch, argv):
     assert run_cli(*synth_args(tmp_path)) == 0
     capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before its output was checked")
+
+    # An output is checked before any input is read or any work is done.
+    for owner, name in [(training, "train"), (cli, "augment"), (cli, "build_trajectory"),
+                        (cli, "load_corpus"), (cli, "load_layout"), (synth, "gen_source")]:
+        monkeypatch.setattr(owner, name, never)
     assert run_cli(*argv(tmp_path)) == 2
     assert str(tmp_path / "corpus") in one_error_line(capsys)
+
+
+def test_output_checks_leave_files_as_they_were(tmp_path, capsys):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    ckpt, metrics = tmp_path / "c.json", tmp_path / "metrics.jsonl"
+    ckpt.write_text("kept\n")
+    missing = tmp_path / "missing.jsonl"
+    capsys.readouterr()
+    assert run_cli(*train_args(tmp_path, "--metrics-out", str(metrics),
+                               "--trajectories", str(missing))) == 2
+    assert str(missing) in one_error_line(capsys)
+    # An existing output is untouched; a new one is left empty by the failed run.
+    assert ckpt.read_text() == "kept\n"
+    assert metrics.read_bytes() == b""
+    assert run_cli(*train_args(tmp_path, "--metrics-out", str(metrics))) == 0
+    assert training.load_checkpoint(ckpt).epoch_log
+    assert len(metrics.read_text().splitlines()) == 1
+
+
+def test_embedding_table_of_another_width_is_data_error(tmp_path, capsys):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    table = tmp_path / "emb.txt"
+    table.write_text("if 0.5 -0.5 1\nfor 1 2 3\n")
+    assert train_small(tmp_path, tmp_path / "demos.jsonl", "--feature-mode", "external",
+                       "--embed-path", str(table)) == 0
+    table.write_text("if 0.5 -0.5\nfor 1 2\n")
+    capsys.readouterr()
+    message = f"error: embedding table {table}: width 2, but the checkpoint's W_in has 3 rows"
+    assert run_cli("eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+                   "--corpus-dir", str(tmp_path / "corpus"),
+                   "--trajectories", str(tmp_path / "demos.jsonl")) == 2
+    assert one_error_line(capsys) == message
+    assert run_cli("rollout", "--checkpoint", str(tmp_path / "ckpt.json"),
+                   "--corpus-dir", str(tmp_path / "corpus"), "--snippet", "snip0003") == 2
+    assert one_error_line(capsys) == message
+
+
+@pytest.mark.parametrize("task_mode,kind", [("none", LabelKind.CLASS),
+                                            ("classify", LabelKind.CLASS),
+                                            ("localize", LabelKind.BUG)])
+def test_load_corpus_attaches_the_heads_label_kind(tmp_path, task_mode, kind):
+    assert run_cli(*synth_args(tmp_path, bug_rate=1.0)) == 0
+    with open(tmp_path / "labels.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 2 * 12 and {r["kind"] for r in rows} == {"class", "bug"}
+    corpus = cli._load_corpus(dict(DEFAULTS, corpus_dir=str(tmp_path / "corpus"),
+                                   labels=str(tmp_path / "labels.csv"), task_mode=task_mode))
+    assert len(corpus) == 12
+    assert {snippet.task.kind for snippet in corpus.values()} == {kind}
 
 
 @pytest.mark.parametrize("name", ["missing.json", "corpus"])

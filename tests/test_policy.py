@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codegaze import autodiff as ad
 from codegaze import policy
 from codegaze.autodiff import Var
+from codegaze.lexer import DataError
 from codegaze.policy import BCConfig
 
 import tape_oracle as oracle
@@ -154,6 +155,39 @@ def test_forward_teacher_validates_steps():
         with pytest.raises(IndexError, match="task label"):
             policy.forward_teacher([np.zeros((3, 6))], [[1]], policy.init_params(6, cfg), cfg,
                                    [label])
+
+
+@st.composite
+def trajectory_cases(draw):
+    """(steps, n tokens, label, task mode), with values at and just past each bound."""
+    n = draw(st.integers(0, 6))
+    steps = draw(st.lists(st.integers(-1, n), max_size=5))
+    label = draw(st.none() | st.integers(-1, max(n, 3)))
+    return steps, n, label, draw(st.sampled_from([policy.TASK_NONE, policy.TASK_CLASSIFY,
+                                                  policy.TASK_LOCALIZE]))
+
+
+@given(trajectory_cases())
+@example(([0, 1], 2, 3, policy.TASK_CLASSIFY))
+@example(([0, 1], 2, 2, policy.TASK_CLASSIFY))
+@example(([0, 1], 2, 2, policy.TASK_LOCALIZE))
+@example(([0, 1], 2, 1, policy.TASK_LOCALIZE))
+@example(([0, 1], 2, -1, policy.TASK_LOCALIZE))
+@example(([0, 2], 2, None, policy.TASK_NONE))
+@settings(max_examples=400, deadline=None)
+def test_check_trajectory_rejects_exactly_what_the_head_cannot_train_on(case):
+    steps, n, label, task_mode = case
+    cfg = BCConfig(task_mode=task_mode, n_classes=3, **TINY)
+    slots = {policy.TASK_CLASSIFY: 3, policy.TASK_LOCALIZE: n}.get(task_mode)
+    bad = (not steps or any(not 0 <= s < n for s in steps)
+           or (label is not None and slots is not None and not 0 <= label < slots))
+    try:
+        policy.check_trajectory(steps, n, label, cfg, "trajectory t")
+    except Exception as e:
+        assert bad and isinstance(e, DataError), e
+        assert str(e).startswith("trajectory t")
+    else:
+        assert not bad
 
 
 def test_bc_loss_analytic_values():

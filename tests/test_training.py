@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from codegaze import policy, synth, training
-from codegaze.features import FeatureSpec
-from codegaze.gaze import EmptyTrajectoryError
+from codegaze.features import FeatureSpec, featurize
+from codegaze.gaze import EmptyTrajectoryError, StepRangeError
+from codegaze.lexer import LabelKind, TaskLabel
 from codegaze.policy import BCConfig
 from codegaze.training import CheckpointError
 
@@ -83,6 +84,22 @@ def test_evaluate_requires_data_and_is_pure():
         assert (ckpt.params[name] == before[name]).all()
     assert 0.0 <= m1.action_accuracy <= 1.0
     assert m1.mean_loss >= 0.0
+
+
+def test_out_of_range_class_label_is_one_error_on_every_path():
+    from dataclasses import replace
+    snippets, demos = tiny_dataset()
+    cfg = BCConfig(epochs=0, task_mode="classify", n_classes=3, w_aux=1.0, **TINY_NET)
+    ckpt = training.train(demos, snippets, cfg)
+    bad = replace(demos[0], task=TaskLabel(LabelKind.CLASS, 3))
+    message = "task label 3 out of range for 3 classes"
+    with pytest.raises(StepRangeError, match=message):
+        training.train([bad], snippets, cfg)
+    with pytest.raises(StepRangeError, match=message):
+        training.evaluate(ckpt, [bad], snippets)
+    feats = featurize(snippets[bad.snippet_id], ckpt.feature_spec, ckpt.vocab)
+    with pytest.raises(StepRangeError, match=message):
+        policy.forward_teacher([feats], [bad.steps], ckpt.params, cfg, [3])
 
 
 def test_untrained_policy_near_chance():
