@@ -11,8 +11,9 @@ head trains on: `TASK_KINDS` names the label kind each head reads,
 the one check that a trajectory's steps and label fit the head; training
 and the CLI ask it rather than repeat its rules.
 
-One plain-numpy GRU cell (`gru_step`, z and r from one fused matmul) and
-one pointer-score function (`pointer_scores`) do all the arithmetic.
+Each piece of the network is one plain-numpy function that both decoding
+paths call: `embed`, the GRU cell `gru_step` (z and r from one fused
+matmul), `pointer_keys`, `pointer_scores` and the head's `task_logits`.
 Teacher forcing knows every decoder input in advance, so `forward_teacher`
 runs a whole group of trajectories in lockstep: each GRU steps every
 sequence of the group at once, one (B x d) matmul per step, with the
@@ -20,8 +21,8 @@ shorter sequences padded at the end. The group's loss is one tape node.
 Its pointer gradients are taken in the forward, block by block on the
 tanh just computed (the loss is the graph's root, so its gradient is
 known there), and its backward runs hand-derived backpropagation through
-time over the cached gates. Greedy `rollout` calls the same cell and score
-function on plain arrays and builds no tape. A decoder step is a fixed
+time over the cached gates. Greedy `rollout` calls the same functions on
+plain arrays and builds no tape. A decoder step is a fixed
 function of its input, the fed-back token and the state, so once an input
 comes back bit for bit every later step replays the cycle since its first
 time: `rollout` computes that cycle once and fills the remaining steps
@@ -242,21 +243,25 @@ class EmptySequenceError(DataError):
     """Raised when a snippet with no tokens is encoded."""
 
 
+def embed(features: list[np.ndarray], pv: dict[str, np.ndarray]) -> np.ndarray:
+    """[concat(features) W_in; x_start]: every token's embedding, then x_start."""
+    if min(f.shape[0] for f in features) == 0:
+        raise EmptySequenceError("cannot encode an empty token sequence")
+    return np.concatenate([np.concatenate(features) @ pv["W_in"], pv["x_start"][None, :]])
+
+
 def encode(features: list[np.ndarray], p: dict) -> tuple[np.ndarray, np.ndarray, GRURun]:
     """Embeds and encodes a group of token-feature matrices in lockstep.
 
-    Returns (X, rows, run): every sequence's embeddings, concatenated
-    unpadded, with x_start appended as the last row; the (max n x B) index
+    Returns (X, rows, run): the group's `embed`; the (max n x B) index
     into X of each time-major encoder input; and the encoder's run, whose
     states `run.H[1:]` are (max n x B x H), rows past a sequence's end
     padding. `p` maps names to Vars or plain arrays.
     """
-    ns = [f.shape[0] for f in features]
-    if min(ns) == 0:
-        raise EmptySequenceError("cannot encode an empty token sequence")
     pv = _arrays(p)
-    B, pad = len(features), sum(ns)
-    X = np.concatenate([np.concatenate(features) @ pv["W_in"], pv["x_start"][None, :]])
+    X = embed(features, pv)
+    ns = [f.shape[0] for f in features]
+    B, pad = len(features), X.shape[0] - 1
     # Padding rows read x_start (row `pad`); any row would do.
     rows = np.full((max(ns), B), pad)
     for b, offset in enumerate(np.cumsum([0] + ns[:-1])):
@@ -280,9 +285,20 @@ def pointer_scores(P: np.ndarray, q: np.ndarray, v: np.ndarray) -> tuple[np.ndar
 POINTER_BLOCK = 1 << 18
 
 
-def _pointer_keys(pv: dict[str, np.ndarray], E: np.ndarray) -> np.ndarray:
-    """Keys [E; e_stop] W1 + b_a, the stop slot last."""
-    return np.concatenate([E, pv["e_stop"][None, :]]) @ pv["W1"] + pv["b_a"]
+def pointer_keys(pv: dict[str, np.ndarray], E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E W1 + b_a, e_stop W1 + b_a): the keys of the encoder states E and of stop."""
+    return E @ pv["W1"] + pv["b_a"], pv["e_stop"] @ pv["W1"] + pv["b_a"]
+
+
+def task_logits(pv: dict[str, np.ndarray], task_mode: str, d: np.ndarray,
+                token_keys: np.ndarray) -> np.ndarray | None:
+    """The head's logits from a final decoder state d: d W_task, or the pointer
+    scores of d W2 over the tokens' keys under v_loc; None without a head."""
+    if task_mode == TASK_CLASSIFY:
+        return d @ pv["W_task"]
+    if task_mode == TASK_LOCALIZE:
+        return pointer_scores(token_keys, d @ pv["W2"], pv["v_loc"])[0]
+    return None
 
 
 def pointer_loss(P: np.ndarray, Q: np.ndarray, v: np.ndarray, targets: np.ndarray,
@@ -365,13 +381,12 @@ def forward_teacher(features: list[np.ndarray], steps: list[list[int]], p: dict,
     # Decoder inputs are x_start then the expert's tokens, all known up
     # front; x_start is X's last row, which also pads the shorter sequences.
     dec_rows = np.full((Ks.max() + 1, B), X.shape[0] - 1)
-    for b, offset in enumerate(np.cumsum(ns) - ns):
-        dec_rows[1:Ks[b] + 1, b] = offset + np.asarray(steps[b])
+    for b in range(B):
+        dec_rows[1:Ks[b] + 1, b] = enc_rows[steps[b], b]
     E = enc.H[1:]
     dec = _gru_run(pv, "dec", X[dec_rows.reshape(-1)], E[ns - 1, every])
     D = dec.H[1:]
-    PE = E @ pv["W1"] + pv["b_a"]            # every encoder state's key
-    p_stop = pv["e_stop"] @ pv["W1"] + pv["b_a"]
+    PE, p_stop = pointer_keys(pv, E)         # every encoder state's key, and stop's
     Q = D @ pv["W2"]                         # every decoder state's query
     if grad:
         dPE, dQ, d_stop = np.zeros_like(PE), np.zeros_like(Q), np.zeros_like(p_stop)
@@ -390,31 +405,26 @@ def forward_teacher(features: list[np.ndarray], steps: list[list[int]], p: dict,
             dQ[:K + 1, b] = g_att[1]
             dPE[:n, b] = g_att[2][:n]
             d_stop += g_att[2][n]
-        task_logits = None
-        with_task = label is not None and cfg.w_aux > 0
+        with_task = label is not None and cfg.w_aux > 0 and cfg.task_mode in TASK_KINDS
         task_coef = weight * cfg.w_aux if grad and with_task else None
-        if cfg.task_mode == TASK_CLASSIFY:
-            task_logits = D[K, b] @ pv["W_task"]
+        if with_task and cfg.task_mode == TASK_LOCALIZE:
+            loc, task_ce, g_loc = pointer_loss(PE[:n, b], Q[K:K + 1, b], pv["v_loc"],
+                                               np.array([label]), task_coef)
+            head = loc[0]
+            if grad:
+                dv_loc += g_loc[0]
+                dQ[K, b] += g_loc[1][0]
+                dPE[:n, b] += g_loc[2]
+        else:
+            head = task_logits(pv, cfg.task_mode, D[K, b], PE[:n, b])
             if with_task:
-                task_ce, d = ad.cross_entropy_rows(task_logits[None, :], [label])
-                loss = loss + task_ce[0] * cfg.w_aux
+                task_ce, d = ad.cross_entropy_rows(head[None, :], [label])
                 if grad:
                     G_task[b] = task_coef * d[0]
-        elif cfg.task_mode == TASK_LOCALIZE:
-            P_loc, q_loc, v_loc = PE[:n, b], Q[K:K + 1, b], pv["v_loc"]
-            if with_task:
-                loc, task_ce, g_loc = pointer_loss(P_loc, q_loc, v_loc, np.array([label]),
-                                                   task_coef)
-                loss = loss + task_ce[0] * cfg.w_aux
-                if grad:
-                    dv_loc += g_loc[0]
-                    dQ[K, b] += g_loc[1][0]
-                    dPE[:n, b] += g_loc[2]
-            else:
-                loc = pointer_scores(P_loc, q_loc, v_loc)[0]
-            task_logits = loc[0]
+        if with_task:
+            loss = loss + task_ce[0] * cfg.w_aux
         total = total + loss * weight
-        outputs.append((logits, task_logits))
+        outputs.append((logits, head))
     if not grad:
         return Var(total), outputs
 
@@ -495,50 +505,40 @@ def rollout(features: np.ndarray, p: dict, max_steps: int,
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    n = features.shape[0]
-    if n == 0:
-        raise EmptySequenceError("cannot encode an empty token sequence")
     pv = _arrays(p)
-    X = features @ pv["W_in"]
-    E = _gru_run(pv, "enc", X, np.zeros(pv["enc_Uz"].shape[0])).H[1:]
-    P = _pointer_keys(pv, E)
+    X = embed([features], pv)
+    n = X.shape[0] - 1
+    E = _gru_run(pv, "enc", X[:-1], np.zeros(pv["enc_Uz"].shape[0])).H[1:]
+    PE, p_stop = pointer_keys(pv, E)
+    P = np.concatenate([PE, p_stop[None]])
     # Row n holds x_start's projection, and slot n is stop: `a` starts at n
     # and the loop ends before a chosen stop could be fed back.
-    A_dec = project_inputs(pv, "dec", np.concatenate([X, pv["x_start"][None, :]]))
+    A_dec = project_inputs(pv, "dec", X)
     U = recurrent_weights(pv, "dec")
-    W2, v = pv["W2"], pv["v"]
     d = E[-1]
     a = n
     steps: list[int] = []
-    window = CYCLE_WINDOW
-    seen: dict[tuple[int, bytes], int] = {}  # decoder input -> step it was fed at
-    fed: list = [None] * min(window, max_steps)  # step t's (input, state) at t % window
+    seen: dict[tuple[int, bytes], tuple] = {}  # input -> (step fed, state), oldest first
     for t in range(max_steps):
         key = (a, d.tobytes())
-        first = seen.get(key)
-        if first is not None:
+        if key in seen:
+            first = seen[key][0]
             period, rest = t - first, max_steps - t
             cycle = steps[first:]
             steps += cycle * (rest // period) + cycle[:rest % period]
-            d = fed[(first + rest % period) % window][1]
+            d = list(seen.values())[len(seen) - period + rest % period][1]
             break
-        if t >= window:
-            del seen[fed[t % window][0]]
-        seen[key] = t
-        fed[t % window] = key, d
+        if len(seen) == CYCLE_WINDOW:
+            del seen[next(iter(seen))]
+        seen[key] = t, d
         d = gru_step(U, "dec", A_dec[a], d)[0]
-        logits, _ = pointer_scores(P, d @ W2, v)
+        logits, _ = pointer_scores(P, d @ pv["W2"], pv["v"])
         a = int(np.argmax(logits))  # ties resolve to the lowest slot
         if a == n:
             break
         steps.append(a)
-    task_out = None
-    if task_mode == TASK_CLASSIFY:
-        task_out = int(np.argmax(d @ pv["W_task"]))
-    elif task_mode == TASK_LOCALIZE:
-        loc, _ = pointer_scores(P[:n], d @ W2, pv["v_loc"])
-        task_out = int(np.argmax(loc))
-    return steps, task_out
+    head = task_logits(pv, task_mode, d, PE)
+    return steps, None if head is None else int(np.argmax(head))
 
 
 def gradcheck_problem(seed: int = 0):
