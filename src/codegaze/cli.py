@@ -4,11 +4,13 @@ rollout / gradcheck.
 Configuration is a flat JSON file (``--config``) whose keys mirror the
 command-line flags; flags win over file values, which are type-checked.
 Exit codes: 0 success; 1 usage or config error, including a ``--config``
-file that cannot be opened or read; 2 data error, that is a
-`lexer.DataError` or an OSError: an input file that cannot be opened, is
-not UTF-8 text or is malformed, an output file that cannot be written, or
-an unknown snippet id. Each command checks the files it will write before
-it reads any input (see `_check_outputs`).
+file that cannot be opened or read and a float option that is NaN; 2 data
+error, that is a `lexer.DataError` or an OSError: an input file that
+cannot be opened, is not UTF-8 text or is malformed, an output file that
+cannot be written, or an unknown snippet id. Each command checks the files
+it will write before it reads any input (see `_check_outputs`). `train`
+and `eval` give a trajectory without a label of the head's kind its
+snippet's label (see `_backfill_tasks`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,6 +86,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    for key, val in cfg.items():
+        if isinstance(val, float) and math.isnan(val):
+            raise UsageError(f"option {key!r} must be a number, not NaN")
     return cfg
 
 
@@ -232,7 +238,7 @@ def cmd_train(cfg: dict) -> int:
         raise EmptyTrajectoryError("no trajectories in the training split")
     train_ids = {t.snippet_id for t in train_trajs}
     train_snippets = {sid: sn for sid, sn in corpus.items() if sid in train_ids}
-    _backfill_tasks(train_trajs, train_snippets)
+    _backfill_tasks(train_trajs, train_snippets, cfg["task_mode"])
     ckpt = training.train(train_trajs, train_snippets, _from_cfg(policy.BCConfig, cfg),
                           _feature_spec(cfg), min_count=cfg["min_count"])
     training.save_checkpoint(ckpt, cfg["checkpoint"])
@@ -241,10 +247,11 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _backfill_tasks(trajectories, corpus) -> None:
-    """Give label-less trajectories their snippet's task label."""
+def _backfill_tasks(trajectories, corpus, task_mode: str) -> None:
+    """Give each trajectory that has no label of the head's kind its
+    snippet's label, which `_load_corpus` picks of that kind where it can."""
     for traj in trajectories:
-        if traj.task is None and traj.snippet_id in corpus:
+        if policy.task_value(traj.task, task_mode) is None and traj.snippet_id in corpus:
             snippet = corpus[traj.snippet_id]
             if snippet.task is not None:
                 traj.task = TaskLabel(snippet.task.kind, snippet.task.value)
@@ -257,7 +264,7 @@ def cmd_eval(cfg: dict) -> int:
     corpus = _load_corpus(cfg)
     trajectories = _split_trajectories(
         read_trajectories_jsonl(cfg["trajectories"]), cfg["split"])
-    _backfill_tasks(trajectories, corpus)
+    _backfill_tasks(trajectories, corpus, cfg["task_mode"])
     metrics = training.evaluate(ckpt, trajectories, corpus)
     print(json.dumps({"action_accuracy": metrics.action_accuracy,
                       "task_accuracy": metrics.task_accuracy,

@@ -173,6 +173,8 @@ def augment(traj: Trajectory, snippet: Snippet, sigma_tokens: float, m: int,
     """
     if m < 0:
         raise ValueError("m must be non-negative")
+    if not math.isfinite(sigma_tokens):
+        raise ValueError("sigma_tokens must be finite")
     check_steps(traj.steps, len(snippet.tokens), f"trajectory for snippet {traj.snippet_id!r}")
     if m == 0:
         return [replace(traj, steps=list(traj.steps), weight=1.0)]

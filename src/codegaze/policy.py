@@ -22,16 +22,18 @@ Its pointer gradients are taken in the forward, block by block on the
 tanh just computed (the loss is the graph's root, so its gradient is
 known there), and its backward runs hand-derived backpropagation through
 time over the cached gates. Greedy `rollout` calls the same functions on
-plain arrays and builds no tape. A decoder step is a fixed
-function of its input, the fed-back token and the state, so once an input
-comes back bit for bit every later step replays the cycle since its first
-time: `rollout` computes that cycle once and fills the remaining steps
-from it. A policy trained by cloning often never picks stop, and its
-rollouts settle into such a cycle after some tens to a few hundred steps.
+plain arrays and builds no tape; only its feedback loop is its own. A
+decoder step is a fixed function of its input, the fed-back token and the
+state, so once an input comes back bit for bit every later step replays
+the cycle since its first time: `rollout` computes that cycle once and
+fills the remaining steps from it. A policy trained by cloning often never
+picks stop, and its rollouts settle into such a cycle after some tens to a
+few hundred steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,8 +68,14 @@ class BCConfig:
     n_classes: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.w_att) and math.isfinite(self.w_aux)):
+            raise ValueError("loss weights must be finite")
         if self.w_att < 0 or self.w_aux < 0 or self.w_att + self.w_aux == 0:
             raise ValueError("loss weights must be non-negative with a positive sum")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be a finite number > 0")
+        if math.isnan(self.grad_clip) or self.grad_clip < 0:
+            raise ValueError("grad_clip must be >= 0 (0 for no clipping)")
         if min(self.d_emb, self.d_hidden, self.d_attn) < 1:
             raise ValueError("network dimensions must be at least 1")
         if self.batch < 1:

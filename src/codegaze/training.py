@@ -171,10 +171,18 @@ def _check_trajectories(trajectories: list[Trajectory], snippets: dict[str, Snip
 def train(trajectories: list[Trajectory], snippets: dict[str, Snippet],
           cfg: policy.BCConfig, feature_spec: FeatureSpec | None = None,
           min_count: int = 1) -> Checkpoint:
-    """Fit the policy to weighted expert trajectories; vocab comes from `snippets`."""
+    """Fit the policy to weighted expert trajectories; vocab comes from `snippets`.
+
+    A task head with w_aux > 0 needs a trajectory with a label of its kind.
+    """
     if not trajectories:
         raise EmptyTrajectoryError("empty dataset")
     _check_trajectories(trajectories, snippets, cfg)
+    kind = policy.TASK_KINDS.get(cfg.task_mode)
+    if cfg.w_aux > 0 and kind is not None and all(
+            policy.task_value(traj.task, cfg.task_mode) is None for traj in trajectories):
+        raise DataError(f"no trajectory has a {kind.value} label for the {cfg.task_mode} head "
+                        f"to train on (w_aux {cfg.w_aux})")
     if feature_spec is None:
         feature_spec = FeatureSpec(mode="onehot_pos")
     vocab = build_vocab(list(snippets.values()), min_count=min_count)

@@ -783,3 +783,69 @@ def test_csv_field_over_the_size_limit_is_data_error(tmp_path, capsys):
     assert run_cli(*ingest_args(tmp_path)) == 2
     assert one_error_line(capsys) == (f"error: {gaze_file}:{line}: field larger than "
                                       f"field limit ({csv.field_size_limit()})")
+
+
+@pytest.mark.parametrize("task_mode,trajectories", [
+    ("localize", "traj.jsonl"),   # ingest under the none head writes class labels
+    ("classify", "demos.jsonl"),  # synth's demo of a bugged snippet carries its bug label
+])
+def test_head_trains_on_its_label_kind_when_trajectories_carry_the_other(
+        tmp_path, capsys, task_mode, trajectories):
+    assert run_cli(*synth_args(tmp_path, bug_rate=1.0, expert="bug_seeker")) == 0
+    labels = ["--labels", str(tmp_path / "labels.csv")]
+    assert run_cli(*ingest_args(tmp_path), *labels) == 0
+    path = tmp_path / trajectories
+    kinds = {json.loads(line)["task"]["kind"] for line in path.read_text().splitlines()}
+    assert kinds == {"bug" if task_mode == "classify" else "class"}
+    assert run_cli("train", "--corpus-dir", str(tmp_path / "corpus"), "--trajectories",
+                   str(path), "--checkpoint", str(tmp_path / "c.json"), "--epochs", "1",
+                   "--d-emb", "4", "--d-hidden", "4", "--d-attn", "4", "--task-mode",
+                   task_mode, "--n-classes", "2", "--w-aux", "1", *labels) == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", str(tmp_path / "c.json"), "--corpus-dir",
+                   str(tmp_path / "corpus"), "--trajectories", str(path), *labels) == 0
+    assert json.loads(capsys.readouterr().out)["task_accuracy"] is not None
+
+
+def test_head_with_no_label_of_its_kind_is_data_error(tmp_path, capsys):
+    # The corpus has no bugs, so neither the demos nor the labels file hold
+    # a bug label; without an auxiliary loss the head needs none.
+    assert run_cli(*synth_args(tmp_path)) == 0
+    localize = ["--task-mode", "localize", "--labels", str(tmp_path / "labels.csv")]
+    capsys.readouterr()
+    assert run_cli(*train_args(tmp_path, *localize, "--w-aux", "1")) == 2
+    assert one_error_line(capsys) == ("error: no trajectory has a bug label for the "
+                                      "localize head to train on (w_aux 1.0)")
+    assert run_cli(*train_args(tmp_path, *localize, "--w-aux", "0")) == 0
+
+
+@pytest.mark.parametrize("command,flags,config,code,message", [
+    ("train", ["--lr", "nan"], None, 1, "option 'lr' must be a number, not NaN"),
+    ("train", ["--w-att", "nan"], None, 1, "option 'w_att' must be a number, not NaN"),
+    ("train", [], '{"lr": NaN}', 1, "option 'lr' must be a number, not NaN"),
+    ("train", ["--lr", "-0.01"], None, 1, "lr must be a finite number > 0"),
+    ("train", ["--lr", "inf"], None, 1, "lr must be a finite number > 0"),
+    ("train", ["--w-aux", "inf"], None, 1, "loss weights must be finite"),
+    ("train", ["--grad-clip", "-1"], None, 1, "grad_clip must be >= 0 (0 for no clipping)"),
+    ("train", ["--grad-clip", "0"], None, 0, None),
+    ("ingest", ["--radius-px", "nan"], None, 1, "option 'radius_px' must be a number, not NaN"),
+    ("ingest", ["--min-dur-ms", "nan"], None, 1,
+     "option 'min_dur_ms' must be a number, not NaN"),
+    ("ingest", ["--radius-px", "inf"], None, 0, None),
+    ("augment", ["--sigma-tokens", "inf"], None, 1, "sigma_tokens must be finite"),
+    ("augment", [], '{"sigma_tokens": NaN}', 1,
+     "option 'sigma_tokens' must be a number, not NaN"),
+])
+def test_non_finite_numeric_option_is_usage_error(tmp_path, capsys, command, flags, config,
+                                                  code, message):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    argv = {"train": train_args(tmp_path), "ingest": ingest_args(tmp_path),
+            "augment": ["augment", "--corpus-dir", str(tmp_path / "corpus"), "--trajectories",
+                        str(tmp_path / "demos.jsonl"), "--out", str(tmp_path / "aug.jsonl")]}
+    if config is not None:
+        (tmp_path / "run.json").write_text(config)
+        flags = flags + ["--config", str(tmp_path / "run.json")]
+    capsys.readouterr()
+    assert run_cli(*argv[command], *flags) == code
+    if message is not None:
+        assert one_error_line(capsys) == f"error: {message}"

@@ -368,18 +368,22 @@ def test_full_policy_grad_check_localize_head():
     assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
 
 
-def test_teacher_forcing_on_rollout_reproduces_it():
-    # The tape-free rollout and the teacher-forced group node share one cell
-    # and one pointer-score function, so feeding a rollout's own steps back
-    # must make every argmax pick the same step, then stop.
+@pytest.mark.parametrize("task_mode", ["none", "classify", "localize"])
+def test_teacher_forcing_on_rollout_reproduces_it(task_mode):
+    # The tape-free rollout and the teacher-forced group node share the
+    # embedding, cell, keys, pointer scores and task head, so feeding a
+    # rollout's own steps back must make every argmax pick the same step,
+    # then stop, and the head read the rollout's task output.
     rng = np.random.default_rng(17)
-    cfg = BCConfig(d_emb=6, d_hidden=6, d_attn=6, seed=39)  # a seed whose rollout stops
+    cfg = head_config(task_mode, d_emb=6, d_hidden=6, d_attn=6, seed=39)  # its rollout stops
     feats = rng.standard_normal((9, 5)) * 3.0
     params = scaled_params(5, cfg)
-    steps, _ = policy.rollout(feats, params, max_steps=30)
+    steps, task_out = policy.rollout(feats, params, max_steps=30, task_mode=task_mode)
     assert len(set(steps)) >= 3 and len(steps) < 30
-    [(logits, _)] = policy.forward_teacher([feats], [steps], params, cfg)[1]
+    [(logits, task_logits)] = policy.forward_teacher([feats], [steps], params, cfg)[1]
     assert list(np.argmax(logits, axis=1)) == steps + [9]
+    assert task_out == (None if task_logits is None else int(np.argmax(task_logits)))
+    assert (task_out is None) == (task_mode == "none")
 
 
 def head_config(task_mode, **kwargs):
