@@ -5,10 +5,8 @@ Tokenizing source code and turning tokens into feature vectors
 
 Walks one snippet through the front of the pipeline: lexing into
 positioned tokens, building a vocabulary, and producing the per-token
-feature matrix the policy consumes.
+features the policy consumes.
 """
-
-import numpy as np
 
 from codegaze.features import FeatureSpec, build_vocab, featurize
 from codegaze.lexer import tokenize
@@ -33,15 +31,21 @@ vocab = build_vocab([snippet], min_count=1)
 print(f"\nvocab size {len(vocab)} (id 0 is the unknown token)")
 print("ids:", {text: vocab.ids[text] for text in list(vocab.ids)[:8]})
 
-# Identity features plus normalized line/column position. The positional
-# columns are what let the policy distinguish two occurrences of "acc".
+# Identity features plus normalized line/column position. The one-hot part
+# is kept as one vocabulary id per token, not as a row of |V| floats: the
+# policy's embedding reads row `id` of its input matrix, plus the two
+# position columns times that matrix's last two rows.
 spec = FeatureSpec(mode="onehot_pos")
 X = featurize(snippet, spec, vocab)
-print(f"\nfeature matrix: {X.shape} (vocab one-hot + 2 positional columns)")
+print(f"\nfeatures stand for a {X.shape} matrix (vocab one-hot + 2 positional columns),"
+      f" kept as {X.ids.shape[0]} ids and a {X.pos.shape} position block")
+print(f"{'idx':>3}  {'text':<8} {'id':>2}  line/n  col/max")
+for i, tok in enumerate(snippet.tokens):
+    print(f"{i:>3}  {tok.text:<8} {X.ids[i]:>2}  {X.pos[i, 0]:6.3f}  {X.pos[i, 1]:6.3f}")
 acc_rows = [i for i, t in enumerate(snippet.tokens) if t.text == "acc"]
 a, b = acc_rows[0], acc_rows[1]
-print(f"rows for the two 'acc' tokens differ only in columns "
-      f"{np.abs(X[a] - X[b]).nonzero()[0].tolist()} (the positional ones)")
+print(f"the two 'acc' tokens share id {X.ids[a]} and differ only in position: "
+      f"{X.pos[a].tolist()} vs {X.pos[b].tolist()}")
 
 # Hashed character n-grams need no vocabulary at all; useful when the
 # train and test corpora share morphology but not exact identifiers.

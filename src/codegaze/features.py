@@ -2,6 +2,11 @@
 
 Supported representations: bag-of-words one-hot, one-hot plus normalized
 position, hashed character n-gram counts, and an external embedding table.
+The one-hot modes are kept by index, as `TokenIds`: one vocabulary id per
+token, plus the two position columns for `onehot_pos`, so their memory
+grows with the tokens alone, not with tokens x vocabulary. The n-gram and
+external modes are dense (n_tokens x d_feat) matrices. Either form has the
+`shape` of the matrix it stands for, and `stack` joins a group's into one.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +64,31 @@ class FeatureSpec:
                 raise ValueError("external feature mode requires a loaded table")
             return next(iter(table.values())).shape[0]
         raise ValueError(f"unknown feature mode {self.mode!r}")
+
+
+class TokenIds(NamedTuple):
+    """One-hot token features kept by index. Row i of the (n, dim) matrix
+    they stand for is 1 in column ids[i] and 0 elsewhere, except that its
+    last pos.shape[1] columns hold pos[i] (the normalized line and column
+    for `onehot_pos`, none for `onehot`)."""
+    ids: np.ndarray  # (n,) vocabulary ids
+    pos: np.ndarray  # (n, k) trailing columns
+    dim: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.ids.shape[0], self.dim
+
+
+Features = np.ndarray | TokenIds
+
+
+def stack(features: list[Features]) -> Features:
+    """A group's features as one: the rows of each in turn."""
+    if isinstance(features[0], TokenIds):
+        return TokenIds(np.concatenate([f.ids for f in features]),
+                        np.concatenate([f.pos for f in features]), features[0].dim)
+    return np.concatenate(features)
 
 
 def build_vocab(snippets: list[Snippet], min_count: int = 1) -> Vocab:
@@ -112,22 +143,22 @@ def load_embedding_table(path: str | os.PathLike) -> dict[str, np.ndarray]:
 
 
 def featurize(snippet: Snippet, spec: FeatureSpec, vocab: Vocab,
-              table: dict[str, np.ndarray] | None = None) -> np.ndarray:
-    """Per-token feature matrix of shape (n_tokens, d_feat)."""
+              table: dict[str, np.ndarray] | None = None) -> Features:
+    """Per-token features of shape (n_tokens, d_feat): `TokenIds` for the
+    one-hot modes, a dense matrix otherwise."""
     if spec.mode == "external" and table is None:
         table = load_embedding_table(spec.path)
-    out = np.zeros((len(snippet.tokens), spec.dim(vocab, table)))
-    if spec.mode == "onehot":
-        for i, tok in enumerate(snippet.tokens):
-            out[i, vocab.lookup(tok.text)] = 1.0
-    elif spec.mode == "onehot_pos":
+    dim = spec.dim(vocab, table)
+    if spec.mode in ("onehot", "onehot_pos"):
+        ids = np.array([vocab.lookup(tok.text) for tok in snippet.tokens], dtype=np.intp)
+        if spec.mode == "onehot":
+            return TokenIds(ids, np.zeros((len(ids), 0)), dim)
         n_lines = max(snippet.n_lines, 1)
         max_cols = max((tok.col_end for tok in snippet.tokens), default=1)
-        for i, tok in enumerate(snippet.tokens):
-            out[i, vocab.lookup(tok.text)] = 1.0
-            out[i, -2] = tok.line / n_lines
-            out[i, -1] = tok.col_start / max_cols
-    elif spec.mode == "char_ngram":
+        pos = [(tok.line / n_lines, tok.col_start / max_cols) for tok in snippet.tokens]
+        return TokenIds(ids, np.array(pos, dtype=np.float64).reshape(-1, 2), dim)
+    out = np.zeros((len(snippet.tokens), dim))
+    if spec.mode == "char_ngram":
         for i, tok in enumerate(snippet.tokens):
             text = tok.text
             for j in range(len(text) - spec.ngram_n + 1):

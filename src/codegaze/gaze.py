@@ -181,8 +181,21 @@ def augment(traj: Trajectory, snippet: Snippet, sigma_tokens: float, m: int,
     if sigma_tokens <= 0:
         raise ValueError("sigma_tokens must be positive when m > 0")
     rng = np.random.default_rng(seed)
-    window = math.ceil(2.0 * sigma_tokens)
     n = len(snippet.tokens)
+    # No same-line candidate lies further from a step than the widest index
+    # span of one line (a line's token count minus one in reading order), so
+    # the window stops there: the candidates are the same, and the table no
+    # longer grows with sigma.
+    first, last = {}, {}
+    for i, tok in enumerate(snippet.tokens):
+        first.setdefault(tok.line, i)
+        last[tok.line] = i
+    span = max(last[line] - first[line] for line in last)
+    window = span if 2.0 * sigma_tokens >= span else math.ceil(2.0 * sigma_tokens)
+    try:
+        two_var = 2.0 * sigma_tokens ** 2
+    except OverflowError:  # sigma past ~1.3e154: every candidate weighs the same
+        two_var = math.inf
 
     # Candidate sets and kernel probabilities are step-dependent but fixed
     # across copies: one table row per distinct step holds its same-line
@@ -201,7 +214,10 @@ def augment(traj: Trajectory, snippet: Snippet, sigma_tokens: float, m: int,
     ok = np.take_along_axis(ok, order, axis=1)
     count = ok.sum(axis=1)
     d = (cands - distinct[:, None]).astype(np.float64)
-    w = np.where(ok, np.exp(-(d * d) / (2.0 * sigma_tokens ** 2)), 0.0)
+    # The step itself weighs exp(0) = 1 even where a tiny sigma leaves two_var
+    # 0 or subnormal, which sends every other candidate's exponent to -inf.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.where(ok, np.where(d == 0, 1.0, np.exp(-(d * d) / two_var)), 0.0)
     # numpy's pairwise summation groups terms by a vector's length, so each
     # row is summed over its own candidates only: its total is then the
     # same float as that of the step's candidates summed alone.

@@ -14,6 +14,9 @@ and the CLI ask it rather than repeat its rules.
 Each piece of the network is one plain-numpy function that both decoding
 paths call: `embed`, the GRU cell `gru_step` (z and r from one fused
 matmul), `pointer_keys`, `pointer_scores` and the head's `task_logits`.
+One-hot features come as token ids (`features.TokenIds`), so `embed` reads
+W_in's rows at the ids and adds the position columns times W_in's last
+rows, and `embed_grad` adds the gradient rows up by id.
 Teacher forcing knows every decoder input in advance, so `forward_teacher`
 runs a whole group of trajectories in lockstep: each GRU steps every
 sequence of the group at once, one (B x d) matmul per step, with the
@@ -41,6 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
+from .features import Features, TokenIds, stack
 from .gaze import StepRangeError, check_steps
 from .lexer import DataError, LabelKind, TaskLabel
 
@@ -174,14 +178,16 @@ def _input_weights(p: dict[str, np.ndarray], prefix: str) -> np.ndarray:
 
 def project_inputs(p: dict[str, np.ndarray], prefix: str, X: np.ndarray) -> np.ndarray:
     """Every row's gate inputs at once: X [Wz|Wr|Wh] + [bz|br|bh]."""
-    b = np.concatenate([p[f"{prefix}_b{g}"] for g in "zrh"])
-    return X @ _input_weights(p, prefix) + b
+    A = X @ _input_weights(p, prefix)
+    A += np.concatenate([p[f"{prefix}_b{g}"] for g in "zrh"])
+    return A
 
 
 class GRURun(NamedTuple):
     """A GRU over time-major input rows X (row t*B + b is step t of sequence
     b): the states H (h0 first, T+1 of them) and each step's gates z, r and
-    candidate, all the backward needs."""
+    candidate, all the backward needs. Z, R and C are the column blocks of
+    one (T x B x 3H) array."""
     X: np.ndarray
     H: np.ndarray
     Z: np.ndarray
@@ -195,51 +201,71 @@ def _gru_run(p: dict[str, np.ndarray], prefix: str, X: np.ndarray, h0: np.ndarra
     A sequence shorter than the run is padded at the end with any rows:
     the GRU is causal, so padding never changes a sequence's real states,
     and padded steps get exactly zero gradient when no loss reads them.
+    Step t's gates z, r and candidate overwrite its gate inputs, which it
+    has read, so the gate inputs' array ends as the gates'.
     """
     d_hid = h0.shape[-1]
     A = project_inputs(p, prefix, X).reshape((-1,) + h0.shape[:-1] + (3 * d_hid,))
-    T = A.shape[0]
+    Z, R, C = A[..., :d_hid], A[..., d_hid:2 * d_hid], A[..., 2 * d_hid:]
     U = recurrent_weights(p, prefix)
-    Hs = np.empty((T + 1,) + h0.shape)
-    Z, R, C = np.empty((3, T) + h0.shape)
+    Hs = np.empty((A.shape[0] + 1,) + h0.shape)
     Hs[0] = h0
-    for t in range(T):
+    for t in range(A.shape[0]):
         Hs[t + 1], Z[t], R[t], C[t] = gru_step(U, prefix, A[t], Hs[t])
     return GRURun(X, Hs, Z, R, C)
+
+
+# Elements of each per-block array `_gru_backward` forms the per-step
+# factors in.
+FACTOR_BLOCK = 1 << 12
 
 
 def _gru_backward(p: dict[str, np.ndarray], prefix: str, run: GRURun, G: np.ndarray):
     """Backpropagation through time over a lockstep run's cached gates.
 
     `G` (T x B x H) is the gradient of the loss with respect to each state
-    after its step. Returns the weight gradients by parameter name, the
-    gradient of X's rows and that of h0; each weight gradient is one
-    (T*B x d)^T (T*B x d) product.
+    after its step; once read, it serves as scratch. Returns the weight
+    gradients by parameter name, the gradient of X's rows and that of h0;
+    each weight gradient is one (T*B x d)^T (T*B x d) product.
+
+    The steps run last first in blocks of at most FACTOR_BLOCK elements per
+    array: a block's gates are copied out of the run's (T x B x 3H) array
+    and its per-step factors formed from them, all contiguous, so the
+    backward holds no whole-run array besides the gate gradients dA, and
+    each step reads contiguous rows.
     """
     T, B, d_hid = run.Z.shape
-    Hp, Z, R, C = run.H[:-1], run.Z, run.R, run.C
-    # Per-step factors that do not depend on the carried gradient.
-    to_c = Z * (1.0 - C * C)                 # dh -> d(candidate pre-activation)
-    to_z = (C - Hp) * Z * (1.0 - Z)          # dh -> d(z pre-activation)
-    to_r = Hp * R * (1.0 - R)                # d(r*h) -> d(r pre-activation)
-    keep = 1.0 - Z
     Uh_T = p[prefix + "_Uh"].T
     Uzr_T = recurrent_weights(p, prefix)[prefix + "_Uzr"].T
     dA = np.empty((T, B, 3 * d_hid))
     dh = np.zeros((B, d_hid))
-    for t in range(T - 1, -1, -1):
-        dh = dh + G[t]
-        dc = np.multiply(dh, to_c[t], out=dA[t, :, 2 * d_hid:])
-        dq = dc @ Uh_T
-        np.multiply(dh, to_z[t], out=dA[t, :, :d_hid])
-        np.multiply(dq, to_r[t], out=dA[t, :, d_hid:2 * d_hid])
-        dh = dh * keep[t] + dq * R[t] + dA[t, :, :2 * d_hid] @ Uzr_T
+    steps = max(1, FACTOR_BLOCK // (B * d_hid))
+    for stop in range(T, 0, -steps):
+        blk = slice(max(0, stop - steps), stop)
+        Hp = run.H[blk]
+        Z, R, C = (np.ascontiguousarray(gate[blk]) for gate in (run.Z, run.R, run.C))
+        # Per-step factors that do not depend on the carried gradient.
+        to_c = Z * (1.0 - C * C)                 # dh -> d(candidate pre-activation)
+        to_z = (C - Hp) * Z * (1.0 - Z)          # dh -> d(z pre-activation)
+        to_r = Hp * R * (1.0 - R)                # d(r*h) -> d(r pre-activation)
+        keep = 1.0 - Z
+        dA_blk, G_blk = dA[blk], G[blk]
+        for t in range(len(Z) - 1, -1, -1):
+            dh = dh + G_blk[t]
+            dc = np.multiply(dh, to_c[t], out=dA_blk[t, :, 2 * d_hid:])
+            dq = dc @ Uh_T
+            np.multiply(dh, to_z[t], out=dA_blk[t, :, :d_hid])
+            np.multiply(dq, to_r[t], out=dA_blk[t, :, d_hid:2 * d_hid])
+            dh = dh * keep[t] + dq * R[t] + dA_blk[t, :, :2 * d_hid] @ Uzr_T
+    del Z, C, to_c, to_z, to_r, keep  # the last block's, before the products below
+    Hp, R = run.H[:-1], run.R
+    rh = np.multiply(R, Hp, out=G).reshape(T * B, d_hid)
     dA = dA.reshape(T * B, 3 * d_hid)
     Hp = Hp.reshape(T * B, d_hid)
     dW, db = run.X.T @ dA, dA.sum(axis=0)
     dU = Hp.T @ dA[:, :2 * d_hid]
     grads = {f"{prefix}_Uz": dU[:, :d_hid], f"{prefix}_Ur": dU[:, d_hid:],
-             f"{prefix}_Uh": (R.reshape(T * B, d_hid) * Hp).T @ dA[:, 2 * d_hid:]}
+             f"{prefix}_Uh": rh.T @ dA[:, 2 * d_hid:]}
     for k, g in enumerate("zrh"):
         cols = slice(k * d_hid, (k + 1) * d_hid)
         grads[f"{prefix}_W{g}"] = dW[:, cols]
@@ -251,30 +277,67 @@ class EmptySequenceError(DataError):
     """Raised when a snippet with no tokens is encoded."""
 
 
-def embed(features: list[np.ndarray], pv: dict[str, np.ndarray]) -> np.ndarray:
-    """[concat(features) W_in; x_start]: every token's embedding, then x_start."""
+def embed(features: list[Features], pv: dict[str, np.ndarray]) -> tuple[Features, np.ndarray]:
+    """(F, [F W_in; x_start]): the features stacked into one (`features.stack`),
+    and every token's embedding, then x_start.
+
+    For `TokenIds`, F W_in is W_in's rows at the ids, plus the position
+    columns times W_in's last rows.
+    """
     if min(f.shape[0] for f in features) == 0:
         raise EmptySequenceError("cannot encode an empty token sequence")
-    return np.concatenate([np.concatenate(features) @ pv["W_in"], pv["x_start"][None, :]])
+    F, W = stack(features), pv["W_in"]
+    X = np.empty((F.shape[0] + 1, W.shape[1]))
+    if isinstance(F, TokenIds):
+        np.take(W, F.ids, axis=0, out=X[:-1])
+        k = F.pos.shape[1]
+        if k:
+            X[:-1] += F.pos @ W[-k:]
+    else:
+        np.matmul(F, W, out=X[:-1])
+    X[-1] = pv["x_start"]
+    return F, X
 
 
-def encode(features: list[np.ndarray], p: dict) -> tuple[np.ndarray, np.ndarray, GRURun]:
-    """Embeds and encodes a group of token-feature matrices in lockstep.
+def _scatter_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """The rows of `values` summed by `index` into n_rows rows: what np.add.at
+    adds into zeros, in the same order, by one bincount over (row, column)
+    pairs, several times faster."""
+    d = values.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).reshape(-1)
+    return np.bincount(flat, values.reshape(-1), minlength=n_rows * d).reshape(n_rows, d)
 
-    Returns (X, rows, run): the group's `embed`; the (max n x B) index
+
+def embed_grad(F: Features, dX: np.ndarray) -> np.ndarray:
+    """W_in's gradient F^T dX from dX, the gradient of `embed`'s token rows:
+    for `TokenIds`, dX's rows added up by id, then the position columns' rows."""
+    if not isinstance(F, TokenIds):
+        return F.T @ dX
+    dW = _scatter_rows(F.ids, dX, F.dim)
+    k = F.pos.shape[1]
+    if k:
+        dW[-k:] += F.pos.T @ dX
+    return dW
+
+
+def encode(features: list[Features], p: dict) -> tuple[Features, np.ndarray, np.ndarray, GRURun]:
+    """Embeds and encodes a group of token features in lockstep.
+
+    Returns (F, X, rows, run): the group's `embed`; the (max n x B) index
     into X of each time-major encoder input; and the encoder's run, whose
     states `run.H[1:]` are (max n x B x H), rows past a sequence's end
     padding. `p` maps names to Vars or plain arrays.
     """
     pv = _arrays(p)
-    X = embed(features, pv)
+    F, X = embed(features, pv)
     ns = [f.shape[0] for f in features]
     B, pad = len(features), X.shape[0] - 1
     # Padding rows read x_start (row `pad`); any row would do.
     rows = np.full((max(ns), B), pad)
     for b, offset in enumerate(np.cumsum([0] + ns[:-1])):
         rows[:ns[b], b] = offset + np.arange(ns[b])
-    return X, rows, _gru_run(pv, "enc", X[rows.reshape(-1)], np.zeros((B, pv["enc_Uz"].shape[0])))
+    return F, X, rows, _gru_run(pv, "enc", X[rows.reshape(-1)],
+                                np.zeros((B, pv["enc_Uz"].shape[0])))
 
 
 def pointer_scores(P: np.ndarray, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +358,9 @@ POINTER_BLOCK = 1 << 18
 
 def pointer_keys(pv: dict[str, np.ndarray], E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E W1 + b_a, e_stop W1 + b_a): the keys of the encoder states E and of stop."""
-    return E @ pv["W1"] + pv["b_a"], pv["e_stop"] @ pv["W1"] + pv["b_a"]
+    PE = E @ pv["W1"]
+    PE += pv["b_a"]
+    return PE, pv["e_stop"] @ pv["W1"] + pv["b_a"]
 
 
 def task_logits(pv: dict[str, np.ndarray], task_mode: str, d: np.ndarray,
@@ -347,7 +412,7 @@ def pointer_loss(P: np.ndarray, Q: np.ndarray, v: np.ndarray, targets: np.ndarra
     return scores, losses, (dv, (g_rows[:, None] - gq) * v, (g_cols[:, None] - gk) * v)
 
 
-def _check_group(features: list[np.ndarray], steps: list[list[int]],
+def _check_group(features: list[Features], steps: list[list[int]],
                  labels: list[int | None], cfg: BCConfig) -> None:
     if not features or not len(features) == len(steps) == len(labels):
         raise ValueError(f"{len(features)} feature matrices for {len(steps)} trajectories "
@@ -356,7 +421,7 @@ def _check_group(features: list[np.ndarray], steps: list[list[int]],
         check_trajectory(s, f.shape[0], label, cfg, f"trajectory {b}")
 
 
-def forward_teacher(features: list[np.ndarray], steps: list[list[int]], p: dict,
+def forward_teacher(features: list[Features], steps: list[list[int]], p: dict,
                     cfg: BCConfig, labels: list[int | None] | None = None,
                     weights: list[float] | None = None):
     """Teacher-forced cloning loss of a lockstep group of trajectories, as one node.
@@ -383,12 +448,13 @@ def forward_teacher(features: list[np.ndarray], steps: list[list[int]], p: dict,
     _check_group(features, steps, labels, cfg)
     grad = isinstance(p["W_in"], Var)
     pv = _arrays(p)
-    X, enc_rows, enc = encode(features, pv)
+    F, X, enc_rows, enc = encode(features, pv)
     ns, Ks = np.array([f.shape[0] for f in features]), np.array([len(s) for s in steps])
     every = np.arange(B)
     # Decoder inputs are x_start then the expert's tokens, all known up
     # front; x_start is X's last row, which also pads the shorter sequences.
-    dec_rows = np.full((Ks.max() + 1, B), X.shape[0] - 1)
+    start = X.shape[0] - 1
+    dec_rows = np.full((Ks.max() + 1, B), start)
     for b in range(B):
         dec_rows[1:Ks[b] + 1, b] = enc_rows[steps[b], b]
     E = enc.H[1:]
@@ -452,10 +518,9 @@ def forward_teacher(features: list[np.ndarray], steps: list[list[int]], p: dict,
         dH = dPE @ pv["W1"].T
         dH[ns - 1, every] += dh0
         enc_grads, dX_enc, _ = _gru_backward(pv, "enc", enc, dH)
-        dX = np.zeros_like(X)
-        np.add.at(dX, np.concatenate([enc_rows.reshape(-1), dec_rows.reshape(-1)]),
-                  np.concatenate([dX_enc, dX_dec]))
-        grads["W_in"] = np.concatenate(features).T @ dX[:-1]
+        dX = _scatter_rows(np.concatenate([enc_rows.reshape(-1), dec_rows.reshape(-1)]),
+                          np.concatenate([dX_enc, dX_dec]), start + 1)
+        grads["W_in"] = embed_grad(F, dX[:-1])
         grads["x_start"] = dX[-1]
         # Every gradient is linear in the incoming g, so g scales only the
         # parameter gradients, and the forward's arrays are neither copied
@@ -496,7 +561,7 @@ def bc_loss(action_logits: Var | list[Var], expert_steps: list[int], task_logits
 CYCLE_WINDOW = 256
 
 
-def rollout(features: np.ndarray, p: dict, max_steps: int,
+def rollout(features: Features, p: dict, max_steps: int,
             task_mode: str = TASK_NONE) -> tuple[list[int], int | None]:
     """Greedy decoding: argmax slot each step, feeding back the chosen token.
 
@@ -514,7 +579,7 @@ def rollout(features: np.ndarray, p: dict, max_steps: int,
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     pv = _arrays(p)
-    X = embed([features], pv)
+    X = embed([features], pv)[1]
     n = X.shape[0] - 1
     E = _gru_run(pv, "enc", X[:-1], np.zeros(pv["enc_Uz"].shape[0])).H[1:]
     PE, p_stop = pointer_keys(pv, E)

@@ -3,10 +3,14 @@
 Each minibatch is cut, in order, into lockstep groups whose padded size
 stays within ROW_BUDGET rows; a group's loss is one tape node (see
 `policy.forward_teacher`) and one backward pass, and the gradients of a
-batch's groups add up to one Adam step. Evaluation runs the same forward
-on the checkpoint's arrays, taking no gradient and building no tape, and
-`predict` rolls out on them the same way. Only the snippets the
-trajectories reference are featurized.
+batch's groups add up to one Adam step. The budget takes a whole batch
+of eight 12-16-line snippets (up to 128 tokens each) as one group, and
+leaves a full read of a long file in a group of its own. Evaluation runs
+the same forward on the checkpoint's arrays, taking no gradient and
+building no tape, and `predict` rolls out on them the same way. Only the
+snippets the trajectories reference are featurized, and the one-hot
+modes keep one token id per token (`features.TokenIds`), so the feature
+cache grows with the tokens, not with tokens x vocabulary.
 Everything is seeded, so (data, config, seed) fully determine the
 checkpoint bytes. Checkpoint floats are serialized as shortest-round-trip
 decimal strings, which preserves all 64 bits.
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import policy
-from .features import (EmbeddingTableError, FeatureSpec, Vocab, build_vocab, featurize,
+from .features import (EmbeddingTableError, Features, FeatureSpec, Vocab, build_vocab, featurize,
                        load_embedding_table)
 from .gaze import EmptyTrajectoryError, Trajectory
 from .lexer import DataError, Snippet, check_json_object, field_types, lookup_snippet, read_text
@@ -33,8 +37,13 @@ FORMAT_VERSION = 1
 FLOAT_ENCODING = "shortest-roundtrip-decimal"
 
 # Bound on a lockstep group's padded size, max(n, K+1) x group size: the
-# working set of its graph grows with it (see `lockstep_groups`).
-ROW_BUDGET = 256
+# working set of its graph grows with it (see `lockstep_groups`). At the
+# default network sizes a padded row holds about 4.5 KB at the peak of
+# forward plus backward (the encoder run's input row, states and gates, its
+# key's gradient, and its BPTT gate gradients): 3.7 MB for a group of eight
+# 73-97-token skims (776 rows), 4.7 MB for a full group, besides the
+# pointer's tanh block (`policy.POINTER_BLOCK`).
+ROW_BUDGET = 1024
 
 
 class CheckpointError(DataError):
@@ -67,7 +76,7 @@ def split_by_id(ids: list[str]) -> tuple[list[str], list[str]]:
 
 
 def _feature_cache(ids, snippets: dict[str, Snippet], spec: FeatureSpec, vocab: Vocab,
-                   d_in: int | None = None) -> dict[str, np.ndarray]:
+                   d_in: int | None = None) -> dict[str, Features]:
     """Features of the snippets `ids` names, by snippet id. Given `d_in`,
     the row count of a checkpoint's W_in, an external table must be that wide."""
     table = load_embedding_table(spec.path) if spec.mode == "external" else None
@@ -77,7 +86,7 @@ def _feature_cache(ids, snippets: dict[str, Snippet], spec: FeatureSpec, vocab: 
     return {sid: featurize(snippets[sid], spec, vocab, table) for sid in dict.fromkeys(ids)}
 
 
-def lockstep_groups(trajectories: list[Trajectory], feats: dict[str, np.ndarray],
+def lockstep_groups(trajectories: list[Trajectory], feats: dict[str, Features],
                     batch: int) -> list[list[list[Trajectory]]]:
     """Each batch of `batch` trajectories, cut in order into lockstep groups.
 

@@ -83,6 +83,33 @@ def test_augment_expands(tmp_path):
         assert abs(sum(r["weight"] for r in rows[i:i + 4]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("sigma", ["1e6", "1e300", "1.7e308"])
+def test_augment_with_a_huge_sigma_runs_in_bounded_memory(tmp_path, sigma):
+    # The candidate table stops at the widest line, so a huge sigma needs no
+    # more memory than a small one. The run is a subprocess under a 1 GiB
+    # address-space limit, so that a table sized by sigma fails there with a
+    # MemoryError instead of taking the host's memory.
+    assert run_cli(*synth_args(tmp_path)) == 0
+    out = tmp_path / "aug.jsonl"
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from codegaze.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(codegaze.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, "augment",
+                           "--corpus-dir", str(tmp_path / "corpus"),
+                           "--trajectories", str(tmp_path / "demos.jsonl"), "--out", str(out),
+                           "--m", "3", "--sigma-tokens", sigma],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(rows) == 12 * 4
+    for i in range(0, len(rows), 4):
+        # every same-line candidate weighs (about) the same, so every copy does too
+        assert [r["weight"] for r in rows[i + 1:i + 4]] == pytest.approx([1 / 6] * 3, rel=1e-9)
+
+
 def test_train_eval_rollout_roundtrip(tmp_path, capsys):
     assert run_cli(*synth_args(tmp_path, n_snippets=20)) == 0
     ckpt = tmp_path / "ckpt.json"

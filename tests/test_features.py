@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from codegaze.features import (EmbeddingTableError, FeatureSpec, build_vocab,
-                               featurize, fnv1a64, load_embedding_table)
+from codegaze.features import (UNK_ID, EmbeddingTableError, FeatureSpec, TokenIds,
+                               build_vocab, featurize, fnv1a64, load_embedding_table, stack)
 from codegaze.lexer import tokenize
 
 
@@ -35,11 +35,11 @@ def test_onehot_rows():
     snippets = make_snippets("a b c a")
     vocab = build_vocab(snippets, 1)
     rows = featurize(snippets[0], FeatureSpec(mode="onehot"), vocab)
+    assert isinstance(rows, TokenIds)
     assert rows.shape == (4, len(vocab))
-    assert (rows.sum(axis=1) == 1.0).all()
-    assert ((rows != 0).sum(axis=1) == 1).all()
-    tok = snippets[0].tokens[1]
-    assert rows[1, vocab.lookup(tok.text)] == 1.0
+    assert rows.ids.tolist() == [vocab.lookup(tok.text) for tok in snippets[0].tokens]
+    assert rows.ids[0] == rows.ids[3] != UNK_ID
+    assert rows.pos.shape == (4, 0)
 
 
 def test_onehot_pos_ratios():
@@ -47,8 +47,33 @@ def test_onehot_pos_ratios():
     snippets = make_snippets("a\nb\nc\nd")
     vocab = build_vocab(snippets, 1)
     rows = featurize(snippets[0], FeatureSpec(mode="onehot_pos"), vocab)
-    assert rows.shape[1] == len(vocab) + 2
-    assert rows[2, -2:] == pytest.approx([0.5, 0.0])
+    assert rows.shape == (4, len(vocab) + 2)
+    assert rows.pos[2] == pytest.approx([0.5, 0.0])
+    assert rows.ids[2] == vocab.lookup("c")
+
+
+def test_unknown_token_gets_unk_id():
+    vocab = build_vocab(make_snippets("a"), 1)
+    rows = featurize(make_snippets("a zz")[0], FeatureSpec(mode="onehot"), vocab)
+    assert rows.ids.tolist() == [vocab.lookup("a"), UNK_ID]
+
+
+def test_empty_snippet_has_no_rows():
+    vocab = build_vocab(make_snippets("a"), 1)
+    for mode in ("onehot", "onehot_pos", "char_ngram"):
+        assert featurize(make_snippets("")[0], FeatureSpec(mode=mode), vocab).shape[0] == 0
+
+
+def test_stack_joins_rows_in_order():
+    snippets = make_snippets("a b", "c\nd e")
+    vocab = build_vocab(snippets, 1)
+    parts = [featurize(sn, FeatureSpec(mode="onehot_pos"), vocab) for sn in snippets]
+    joined = stack(parts)
+    assert joined.shape == (5, len(vocab) + 2)
+    assert joined.ids.tolist() == parts[0].ids.tolist() + parts[1].ids.tolist()
+    assert (joined.pos == np.concatenate([parts[0].pos, parts[1].pos])).all()
+    dense = [featurize(sn, FeatureSpec(mode="char_ngram", ngram_n=1), vocab) for sn in snippets]
+    assert (stack(dense) == np.concatenate(dense)).all()
 
 
 def test_char_bigram_single_bucket():

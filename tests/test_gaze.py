@@ -254,6 +254,16 @@ def test_augment_sigma_limit_reproduces_original():
         assert copy.steps == [1, 4, 6]
 
 
+def test_augment_tiny_sigma_keeps_every_step():
+    # 2 sigma^2 underflows to 0: the step itself still weighs 1, every other
+    # candidate 0, so no weight is NaN.
+    sn = sample_snippet()
+    traj = Trajectory(sn.id, [1, 4, 6])
+    out = augment(traj, sn, sigma_tokens=1e-200, m=3, seed=3)
+    assert [copy.steps for copy in out] == [[1, 4, 6]] * 4
+    assert [copy.weight for copy in out] == [0.5] + [1 / 6] * 3
+
+
 def test_augment_stays_on_line_within_window():
     sn = sample_snippet()
     sigma = 1.5

@@ -50,7 +50,7 @@ def test_init_within_range_and_seeded():
 
 def test_encode_zero_params_gives_zero_states():
     rng = np.random.default_rng(0)
-    _, _, run = policy.encode([rng.standard_normal((5, 6))], zero_params(6, SMALL))
+    _, _, _, run = policy.encode([rng.standard_normal((5, 6))], zero_params(6, SMALL))
     assert run.H.shape == (6, 1, SMALL.d_hidden)
     assert (run.H == 0).all()
 
@@ -58,7 +58,7 @@ def test_encode_zero_params_gives_zero_states():
 def test_encode_single_token():
     rng = np.random.default_rng(1)
     params = policy.init_params(6, SMALL)
-    X, rows, run = policy.encode([rng.standard_normal((1, 6))], params)
+    _, X, rows, run = policy.encode([rng.standard_normal((1, 6))], params)
     assert run.H[1:].shape == (1, 1, SMALL.d_hidden)
     assert rows.tolist() == [[0]] and X.shape == (2, SMALL.d_emb)  # the token, x_start
     pv = {k: v.value for k, v in params.items()}
@@ -76,8 +76,8 @@ def test_encode_is_order_sensitive():
     rng = np.random.default_rng(2)
     feats = rng.standard_normal((6, 6))
     params = policy.init_params(6, SMALL)
-    fwd = policy.encode([feats], params)[2].H[-1, 0]
-    rev = policy.encode([feats[::-1].copy()], params)[2].H[-1, 0]
+    fwd = policy.encode([feats], params)[3].H[-1, 0]
+    rev = policy.encode([feats[::-1].copy()], params)[3].H[-1, 0]
     assert not np.allclose(fwd, rev)
 
 
@@ -302,7 +302,7 @@ def test_gru_sequence_rows_match_step_by_step_cell():
     rng = np.random.default_rng(13)
     params = policy.init_params(3, SMALL)
     pv = {k: v.value for k, v in params.items()}
-    X, rows, run = policy.encode([rng.standard_normal((4, 3))], params)
+    _, X, rows, run = policy.encode([rng.standard_normal((4, 3))], params)
     U = policy.recurrent_weights(pv, "enc")
     h = h_oracle = np.zeros(SMALL.d_hidden)
     for t, x in enumerate(policy.project_inputs(pv, "enc", X[rows[:, 0]])):
@@ -644,6 +644,101 @@ def test_full_read_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 64e6
     assert all(np.isfinite(p.grad).all() for p in params.values())
+
+
+def skim_group():
+    """The first eight keyword-skimmer trajectories of a 12-16-line corpus
+    (73-97 tokens each) with their `onehot_pos` features."""
+    from codegaze import synth
+    from codegaze.features import FeatureSpec, build_vocab, featurize
+
+    gen = synth.GeneratorConfig(seed=41, n_snippets=8, lines_min=12, lines_max=16)
+    snippets = [synth.gen_snippet(gen, i) for i in range(8)]
+    vocab = build_vocab(snippets)
+    steps = [synth.keyword_skimmer(sn, gen.keyword_set()).steps for sn in snippets]
+    return [featurize(sn, FeatureSpec(mode="onehot_pos"), vocab) for sn in snippets], steps
+
+
+def test_skim_group_memory_is_bounded():
+    # One lockstep group of eight skimmer trajectories, 776 padded rows.
+    # Token ids in place of one-hot rows, gates written over the gate
+    # inputs and BPTT factors formed a block of steps at a time hold
+    # forward plus backward to about 3.7 MB (5.05 MB with dense one-hot
+    # rows and whole-run gate and factor arrays).
+    import tracemalloc
+
+    features, steps = skim_group()
+    assert max(f.shape[0] for f in features) * len(features) == 776
+    params = policy.init_params(features[0].shape[1], BCConfig())
+    tracemalloc.start()
+    try:
+        loss, _ = policy.forward_teacher(features, steps, params, BCConfig())
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6
+
+
+def dense(F):
+    """The (n, dim) matrix that token ids F stand for."""
+    D = np.zeros(F.shape)
+    D[np.arange(F.shape[0]), F.ids] = 1.0
+    D[:, F.dim - F.pos.shape[1]:] = F.pos
+    return D
+
+
+def id_group(mode, rng, vocab=9):
+    """Token-id features of the RAGGED lengths, with their steps."""
+    from codegaze.features import TokenIds
+
+    k = 2 if mode == "onehot_pos" else 0
+    features = [TokenIds(rng.integers(0, vocab, n), rng.random((n, k)), vocab + k)
+                for n, _ in RAGGED]
+    return features, [s for _, s in RAGGED]
+
+
+@pytest.mark.parametrize("mode", ["onehot", "onehot_pos"])
+def test_id_embedding_equals_dense_product(mode):
+    rng = np.random.default_rng(21)
+    features, _ = id_group(mode, rng)
+    pv = {k: v.value for k, v in scaled_params(features[0].dim, BCConfig()).items()}
+    F, X = policy.embed(features, pv)
+    want = np.concatenate([np.concatenate([dense(f) for f in features]) @ pv["W_in"],
+                           pv["x_start"][None, :]])
+    if mode == "onehot":  # a one-hot row times W_in copies the row exactly
+        assert (X == want).all()
+    else:
+        assert np.abs(X - want).max() <= 1e-15 * np.abs(want).max()
+    assert F.shape == (sum(n for n, _ in RAGGED), features[0].dim)
+
+
+@pytest.mark.parametrize("mode", ["onehot", "onehot_pos"])
+def test_id_embedding_gradient_equals_dense_product(mode):
+    # Repeated ids across a ragged group: W_in's gradient adds dX's rows by
+    # id, where the dense path multiplies by the one-hot matrix.
+    rng = np.random.default_rng(22)
+    features, steps = id_group(mode, rng, vocab=4)
+    cfg = BCConfig(d_emb=6, d_hidden=5, d_attn=7)
+    grads = []
+    for feats in (features, [dense(f) for f in features]):
+        params = scaled_params(features[0].dim, cfg, factor=3.0)
+        ad.backward(policy.forward_teacher(feats, steps, params, cfg)[0])
+        grads.append(params["W_in"].grad)
+    got, want = grads
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_onehot_pos_grad_check():
+    rng = np.random.default_rng(23)
+    features, steps = id_group("onehot_pos", rng, vocab=5)
+    cfg = BCConfig(d_emb=4, d_hidden=4, d_attn=4, task_mode="classify", n_classes=3, w_aux=1.0)
+    params = scaled_params(features[0].dim, cfg)
+
+    def loss_fn(p):
+        return policy.forward_teacher(features, steps, p, cfg, [2, 0, 1], WEIGHTS[:3])[0]
+
+    assert ad.grad_check(loss_fn, params, eps=1e-5) <= 1e-4
 
 
 @settings(max_examples=10, deadline=None)

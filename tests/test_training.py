@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from codegaze import policy, synth, training
-from codegaze.features import FeatureSpec, featurize
+from codegaze.features import FeatureSpec, build_vocab, featurize
 from codegaze.gaze import EmptyTrajectoryError, StepRangeError
 from codegaze.lexer import LabelKind, TaskLabel
 from codegaze.policy import BCConfig
@@ -203,6 +203,30 @@ def test_lockstep_groups_keep_order_and_row_budget(monkeypatch):
     sizes = [len(g) for groups in batches for g in groups]
     assert max(sizes) > 1 and len(sizes) > len(batches)  # the budget cut some batches
     assert [demos[3]] in batches[0]
+
+
+def test_a_batch_of_long_skims_is_one_group():
+    gen = synth.GeneratorConfig(seed=41, n_snippets=16, lines_min=12, lines_max=16)
+    snippets = {synth.snippet_id(i): synth.gen_snippet(gen, i) for i in range(16)}
+    demos = [synth.keyword_skimmer(sn, gen.keyword_set()) for sn in snippets.values()]
+    vocab = build_vocab(list(snippets.values()))
+    feats = training._feature_cache([t.snippet_id for t in demos], snippets,
+                                    FeatureSpec(mode="onehot_pos"), vocab)
+    assert all(73 <= f.shape[0] <= 97 for f in feats.values())
+    assert training.lockstep_groups(demos, feats, 8) == [[demos[:8]], [demos[8:]]]
+
+
+def test_a_full_read_of_a_long_snippet_is_a_group_alone():
+    from dataclasses import replace
+    gen = synth.GeneratorConfig(seed=3, lines_min=120, lines_max=120)
+    long = replace(synth.gen_snippet(gen, 0), id="long")
+    snippets, demos = tiny_dataset(n=6)
+    snippets[long.id] = long
+    full = synth.linear_reader(long)
+    assert len(full.steps) == 721
+    batch = demos[:3] + [full] + demos[3:6]
+    feats = {sid: np.zeros((len(sn.tokens), 1)) for sid, sn in snippets.items()}
+    assert training.lockstep_groups(batch, feats, 8) == [[demos[:3], [full], demos[3:6]]]
 
 
 def test_one_adam_step_per_batch(monkeypatch):
