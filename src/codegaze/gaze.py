@@ -35,6 +35,9 @@ class GazeFileError(DataError):
 
 # Bound on the fixation x token pairs `map_fixations` compares at once.
 MAP_BLOCK_CELLS = 1 << 16
+# Bound on the trajectory positions x candidate slots whose tables `augment`
+# holds at once.
+AUGMENT_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -181,7 +184,6 @@ def augment(traj: Trajectory, snippet: Snippet, sigma_tokens: float, m: int,
     if sigma_tokens <= 0:
         raise ValueError("sigma_tokens must be positive when m > 0")
     rng = np.random.default_rng(seed)
-    n = len(snippet.tokens)
     # No same-line candidate lies further from a step than the widest index
     # span of one line (a line's token count minus one in reading order), so
     # the window stops there: the candidates are the same, and the table no
@@ -197,15 +199,49 @@ def augment(traj: Trajectory, snippet: Snippet, sigma_tokens: float, m: int,
     except OverflowError:  # sigma past ~1.3e154: every candidate weighs the same
         two_var = math.inf
 
-    # Candidate sets and kernel probabilities are step-dependent but fixed
-    # across copies: one table row per distinct step holds its same-line
-    # tokens within the window, left-aligned and padded to the window.
-    # A padded cdf entry of inf is never <= a uniform draw, so counting the
-    # entries <= u is searchsorted(cdf, u, side="right"), which is how
-    # numpy's `choice` turns one draw into an index.
+    # One (m, steps) draw is the same stream as m draws of one row each. The
+    # trajectory's positions are taken in consecutive chunks of at most
+    # AUGMENT_BLOCK_CELLS positions x candidate slots; each chunk's table
+    # holds the distinct steps in it, and a table row depends only on its
+    # step, so chunking changes no draw, and the log-joints are summed once.
     lines = np.array([tok.line for tok in snippet.tokens])
-    distinct = np.array(sorted(set(traj.steps)))  # np.unique would import numpy.ma
-    rows = np.searchsorted(distinct, traj.steps)
+    u = rng.random((m, len(traj.steps)))
+    drawn = np.empty(u.shape, dtype=np.int64)
+    log_p_drawn = np.empty(u.shape)
+    chunk = max(1, AUGMENT_BLOCK_CELLS // (2 * window + 1))
+    for start in range(0, len(traj.steps), chunk):
+        part = slice(start, start + chunk)
+        steps = traj.steps[part]
+        distinct = np.array(sorted(set(steps)))  # np.unique would import numpy.ma
+        cands, cdf, log_p = _candidate_table(distinct, lines, window, two_var)
+        rows = np.searchsorted(distinct, steps)
+        k = np.count_nonzero(cdf[rows] <= u[:, part, None], axis=2)
+        drawn[:, part] = cands[rows, k]
+        log_p_drawn[:, part] = log_p[rows, k]
+    log_joints = log_p_drawn.sum(axis=1)
+    moved = np.ones(drawn.shape, dtype=bool)  # merge_consecutive of each copy
+    moved[:, 1:] = drawn[:, 1:] != drawn[:, :-1]
+    copies = [row[keep].tolist() for row, keep in zip(drawn, moved)]
+
+    joints = np.exp(log_joints - log_joints.max())
+    weights = 0.5 * joints / joints.sum()
+    out = [replace(traj, steps=list(traj.steps), weight=0.5)]
+    for copy_steps, weight in zip(copies, weights.tolist()):
+        out.append(replace(traj, steps=copy_steps, weight=weight))
+    return out
+
+
+def _candidate_table(distinct: np.ndarray, lines: np.ndarray, window: int,
+                     two_var: float) -> tuple[np.ndarray, ...]:
+    """(candidates, cdf, log p), one row per distinct step, for `augment`.
+
+    A row holds the step's same-line tokens within the window, left-aligned
+    and padded to the window. A padded cdf entry of inf is never <= a
+    uniform draw, so counting the entries <= u is searchsorted(cdf, u,
+    side="right"), which is how numpy's `choice` turns one draw into an
+    index. Each row is computed from its own step alone.
+    """
+    n = len(lines)
     near = distinct[:, None] + np.arange(-window, window + 1)
     ok = (near >= 0) & (near < n)
     ok &= lines[near.clip(0, n - 1)] == lines[distinct][:, None]
@@ -229,22 +265,7 @@ def augment(traj: Trajectory, snippet: Snippet, sigma_tokens: float, m: int,
     cdf = np.where(ok, c / c[np.arange(len(distinct)), count - 1][:, None], np.inf)
     with np.errstate(divide="ignore"):  # a zero-probability slot is never drawn
         log_p = np.where(ok, np.log(p), 0.0)
-
-    # One (m, steps) draw is the same stream as m draws of one row each.
-    u = rng.random((m, len(rows)))
-    k = np.count_nonzero(cdf[rows] <= u[:, :, None], axis=2)
-    drawn = cands[rows, k]
-    log_joints = log_p[rows, k].sum(axis=1)
-    moved = np.ones(drawn.shape, dtype=bool)  # merge_consecutive of each copy
-    moved[:, 1:] = drawn[:, 1:] != drawn[:, :-1]
-    copies = [row[keep].tolist() for row, keep in zip(drawn, moved)]
-
-    joints = np.exp(log_joints - log_joints.max())
-    weights = 0.5 * joints / joints.sum()
-    out = [replace(traj, steps=list(traj.steps), weight=0.5)]
-    for steps, weight in zip(copies, weights.tolist()):
-        out.append(replace(traj, steps=steps, weight=weight))
-    return out
+    return cands, cdf, log_p
 
 
 # ---------------------------------------------------------------------------

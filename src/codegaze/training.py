@@ -13,7 +13,11 @@ modes keep one token id per token (`features.TokenIds`), so the feature
 cache grows with the tokens, not with tokens x vocabulary.
 Everything is seeded, so (data, config, seed) fully determine the
 checkpoint bytes. Checkpoint floats are serialized as shortest-round-trip
-decimal strings, which preserves all 64 bits.
+decimal strings, which preserves all 64 bits. A checkpoint is canonical
+JSON (sorted keys), written a piece at a time through json's C encoder:
+each section, and the parameters one at a time, so saving holds one
+parameter's list and text besides the checkpoint itself. Loading rejects
+a parameter that is not finite.
 """
 
 from __future__ import annotations
@@ -236,21 +240,38 @@ def predict(ckpt: Checkpoint, snippet: Snippet, max_steps: int = 256):
 # Persistence
 
 def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
-    obj = {
+    """Writes the checkpoint as `json.dump(..., sort_keys=True)` of the whole
+    object would, plus a newline, byte for byte.
+
+    Every piece goes through `json.dumps`, which runs json's C encoder
+    (`json.dump` streams through its pure-Python one): each top-level
+    section but `params` in one call, and `params` one parameter at a time.
+    So the whole text is never held, and of the parameters only one's list
+    and text are.
+    """
+    sections = {
         "format_version": FORMAT_VERSION,
         "float_encoding": FLOAT_ENCODING,
         "config": asdict(ckpt.config),
         "vocab": {"min_count": ckpt.vocab.min_count, "ids": ckpt.vocab.ids},
         "feature_spec": asdict(ckpt.feature_spec),
-        "params": {
-            name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-            for name, arr in ckpt.params.items()
-        },
+        "params": None,  # written below, one parameter at a time
         "epoch_log": ckpt.epoch_log,
     }
-    with open(path, "w", encoding="utf-8") as f:  # streamed: the whole text is never held
-        json.dump(obj, f, sort_keys=True)
-        f.write("\n")
+    with open(path, "w", encoding="utf-8") as f:
+        for i, key in enumerate(sorted(sections)):
+            f.write((", " if i else "{") + json.dumps(key) + ": ")
+            if key != "params":
+                f.write(json.dumps(sections[key], sort_keys=True))
+                continue
+            f.write("{")
+            for j, name in enumerate(sorted(ckpt.params)):
+                arr = ckpt.params[name]
+                entry = {"data": arr.reshape(-1).tolist(), "shape": list(arr.shape)}
+                f.write((", " if j else "") + json.dumps(name) + ": "
+                        + json.dumps(entry, sort_keys=True))
+            f.write("}")
+        f.write("}\n")
 
 
 def _dataclass_from_obj(cls, obj, what: str):
@@ -274,8 +295,8 @@ def _vocab_from_obj(obj) -> Vocab:
 
 def _params_from_obj(obj, cfg: policy.BCConfig, spec: FeatureSpec,
                      vocab: Vocab) -> dict[str, np.ndarray]:
-    """The parameter arrays, which must have the shapes `policy.param_shapes`
-    gives for the checkpoint's config and feature width."""
+    """The parameter arrays, which must be finite and have the shapes
+    `policy.param_shapes` gives for the checkpoint's config and feature width."""
     check_json_object(obj, dict.fromkeys(obj, dict) if isinstance(obj, dict) else {}, "params")
     params = {}
     for name, entry in obj.items():
@@ -289,6 +310,10 @@ def _params_from_obj(obj, cfg: policy.BCConfig, spec: FeatureSpec,
             raise ValueError(f"parameter {name!r}: {e}") from e
         if data.ndim != 1 or data.size != math.prod(shape):
             raise ValueError(f"parameter {name!r} has {data.size} values for shape {shape}")
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            raise ValueError(f"parameter {name!r} has the non-finite value {data[bad[0]]} "
+                             f"at index {bad[0]}")
         params[name] = data.reshape(shape)
     expected = policy.param_shapes(0, cfg)
     missing, unknown = sorted(set(expected) - set(params)), sorted(set(params) - set(expected))

@@ -470,6 +470,28 @@ def test_checkpoint_with_bad_vocab_or_params_is_data_error(tmp_path, capsys, cor
     assert message in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("name,index,value", [("W1", 5, "nan"), ("v", 1, "inf")])
+def test_checkpoint_with_a_non_finite_parameter_is_data_error(tmp_path, capsys, name, index,
+                                                              value):
+    # json parses NaN and Infinity, so without the check eval printed a NaN
+    # loss and rollout stepped on NaN scores, both exiting 0
+    assert run_cli(*synth_args(tmp_path, n_snippets=20)) == 0
+    assert train_small(tmp_path, tmp_path / "demos.jsonl") == 0
+    ckpt = tmp_path / "ckpt.json"
+    obj = json.loads(ckpt.read_text())
+    obj["params"][name]["data"][index] = float(value)
+    ckpt.write_text(json.dumps(obj))
+    capsys.readouterr()
+    corpus = ["--corpus-dir", str(tmp_path / "corpus")]
+    message = (f"invalid params: parameter {name!r} has the non-finite value {value} "
+               f"at index {index}")
+    assert run_cli("eval", "--checkpoint", str(ckpt), *corpus,
+                   "--trajectories", str(tmp_path / "demos.jsonl")) == 2
+    assert message in one_error_line(capsys)
+    assert run_cli("rollout", "--checkpoint", str(ckpt), *corpus, "--snippet", "snip0003") == 2
+    assert message in one_error_line(capsys)
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

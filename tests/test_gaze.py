@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,6 +415,59 @@ def test_augment_weights_sum_to_one_at_any_length(long_snippet, length, seed, si
     out = augment(Trajectory(long_snippet.id, steps), long_snippet, sigma, m, seed)
     assert len(out) == m + 1
     assert abs(math.fsum(t.weight for t in out) - 1.0) < 1e-12
+
+
+def test_augment_of_one_long_line_runs_in_bounded_memory():
+    # A huge sigma on one 3,000-token line: one table over every step would
+    # be 3,000 x 5,999 floats, so the run is a subprocess under a 1 GiB
+    # address-space limit, where such a table fails with a MemoryError
+    # instead of taking the host's memory.
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from codegaze.gaze import Trajectory, augment\n"
+            "from codegaze.lexer import tokenize\n"
+            "sn = tokenize(' '.join(f't{i}' for i in range(3000)))\n"
+            "out = augment(Trajectory(sn.id, list(range(3000))), sn, 1e6, 4, 0)\n"
+            "print(len(out), max(len(t.steps) for t in out))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gaze.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["5", "3000"]  # the original and m copies
+
+
+@pytest.mark.parametrize("cells", [1, 7, 60, 500])
+def test_augment_in_chunks_equals_one_chunk(monkeypatch, cells):
+    gen = synth.GeneratorConfig(seed=8, n_snippets=4, lines_min=3, lines_max=9)
+    wide = tokenize("\n".join(" ".join(f"v{i}_{j}" for j in range(40)) for i in range(3)))
+    rng = np.random.default_rng(16)
+    cases = [(synth.gen_snippet(gen, i), None) for i in range(4)] + [(wide, None), (wide, 90)]
+    for sn, length in cases:
+        steps = (synth.linear_reader(sn).steps if length is None
+                 else rng.integers(0, len(sn.tokens), length).tolist())
+        traj = Trajectory(sn.id, steps)
+        for sigma in (0.6, 2.5, 1e6):
+            monkeypatch.setattr(gaze, "AUGMENT_BLOCK_CELLS", 1 << 30)
+            whole = augment(traj, sn, sigma, 5, seed=3)
+            monkeypatch.setattr(gaze, "AUGMENT_BLOCK_CELLS", cells)
+            chunked = augment(traj, sn, sigma, 5, seed=3)
+            assert [(t.steps, t.weight) for t in chunked] == [(t.steps, t.weight) for t in whole]
+
+
+def test_augment_keeps_a_benchmark_sized_trajectory_in_one_chunk(monkeypatch):
+    # perfbench's ingest-infer augments full reads of 300 3-5-line snippets
+    # with sigma 1 (and the train workloads 12-16-line ones)
+    tables = []
+    real_table = gaze._candidate_table
+    monkeypatch.setattr(gaze, "_candidate_table",
+                        lambda *args: tables.append(1) or real_table(*args))
+    for lines, n in (((3, 5), 300), ((12, 16), 100)):
+        gen = synth.GeneratorConfig(seed=1, n_snippets=n, lines_min=lines[0], lines_max=lines[1])
+        for i in range(n):
+            sn = synth.gen_snippet(gen, i)
+            augment(synth.linear_reader(sn), sn, 1.0, 4, seed=i)
+    assert len(tables) == 400
 
 
 # ---------------------------------------------------------------------------

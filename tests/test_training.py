@@ -1,4 +1,8 @@
+import hashlib
+import io
 import json
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -175,6 +179,91 @@ def test_checkpoint_floats_lossless(tmp_path):
     back = training.load_checkpoint(path)
     for name, arr in ckpt.params.items():
         assert (back.params[name] == arr).all()
+
+
+def classify_checkpoint():
+    """A seeded 0-epoch checkpoint with a classify head, so W_task is written,
+    and a hand-written epoch log: no training arithmetic, so its bytes are
+    the same on any CPU."""
+    snippets, demos = tiny_dataset()
+    cfg = BCConfig(epochs=0, seed=3, task_mode="classify", n_classes=2, w_aux=1.0,
+                   **TINY_NET)
+    ckpt = training.train(demos, snippets, cfg)
+    ckpt.epoch_log = [{"epoch": 0, "mean_loss": 2.5, "action_accuracy": 0.1,
+                       "task_accuracy": None}]
+    return ckpt
+
+
+def test_checkpoint_bytes_match_golden_hash(tmp_path):
+    # recorded from `json.dump(obj, f, sort_keys=True)` plus a newline, the
+    # writer before checkpoints were encoded one parameter at a time
+    ckpt = classify_checkpoint()
+    assert "W_task" in ckpt.params
+    path = tmp_path / "c.json"
+    training.save_checkpoint(ckpt, path)
+    data = path.read_bytes()
+    assert len(data) == 29977
+    assert hashlib.sha256(data).hexdigest() == (
+        "d43703f89b685d0a548c6d58596ec1df506d4b3447f5ecbad740d0be9c939fd2")
+
+
+def test_checkpoint_text_is_the_whole_object_dumped(tmp_path):
+    ckpt = classify_checkpoint()
+    edge = [-0.0, 5e-324, 1e16, 1e-7, float("nan"), float("inf"), -float("inf"), 0.1]
+    ckpt.params["W1"].flat[:len(edge)] = edge
+    ckpt.vocab.ids.update({"naïve→日本": len(ckpt.vocab), 'a"b\\c': len(ckpt.vocab) + 1})
+    ckpt.feature_spec.path = 'tables/ü "x" \\ y.txt'
+    ckpt.epoch_log.append({"epoch": 1, "mean_loss": 1e-300, "action_accuracy": 1.0,
+                           "task_accuracy": None})
+    obj = {
+        "format_version": training.FORMAT_VERSION,
+        "float_encoding": training.FLOAT_ENCODING,
+        "config": asdict(ckpt.config),
+        "vocab": {"min_count": ckpt.vocab.min_count, "ids": ckpt.vocab.ids},
+        "feature_spec": asdict(ckpt.feature_spec),
+        "params": {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+                   for name, arr in ckpt.params.items()},
+        "epoch_log": ckpt.epoch_log,
+    }
+    path = tmp_path / "c.json"
+    training.save_checkpoint(ckpt, path)
+    streamed = io.StringIO()
+    json.dump(obj, streamed, sort_keys=True)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(obj, sort_keys=True) + "\n" == streamed.getvalue() + "\n"
+    assert "-0.0, 5e-324, 1e+16, 1e-07, NaN, Infinity, -Infinity, 0.1" in text
+
+
+def test_saving_holds_less_than_the_checkpoint(tmp_path):
+    # the benchmark's ingest-infer set-up: 64 linear reads of 3-5-line
+    # snippets, one epoch at the default network sizes
+    gen = synth.GeneratorConfig(seed=41, n_snippets=300, n_classes=3, lines_min=3, lines_max=5)
+    snippets = {synth.snippet_id(i): synth.gen_snippet(gen, i) for i in range(300)}
+    train_ids, _ = training.split_by_id(sorted(snippets))
+    demos = [synth.linear_reader(snippets[sid]) for sid in train_ids[:64]]
+    ckpt = training.train(demos, {t.snippet_id: snippets[t.snippet_id] for t in demos},
+                          BCConfig(epochs=1), FeatureSpec(mode="onehot_pos"))
+    path = tmp_path / "c.json"
+    tracemalloc.start()
+    try:
+        training.save_checkpoint(ckpt, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 600_000
+    assert peak < path.stat().st_size
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_checkpoint_with_a_non_finite_parameter_is_rejected(tmp_path, value):
+    ckpt = classify_checkpoint()
+    ckpt.params["v"][2] = value  # saving writes it as it is
+    path = tmp_path / "c.json"
+    training.save_checkpoint(ckpt, path)
+    with pytest.raises(CheckpointError,
+                       match=f"invalid params: parameter 'v' has the non-finite value "
+                             f"{value} at index 2"):
+        training.load_checkpoint(path)
 
 
 def test_localize_training_on_tiny_corpus():
