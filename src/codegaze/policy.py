@@ -31,12 +31,20 @@ state, so once an input comes back bit for bit every later step replays
 the cycle since its first time: `rollout` computes that cycle once and
 fills the remaining steps from it. A policy trained by cloning often never
 picks stop, and its rollouts settle into such a cycle after some tens to a
-few hundred steps.
+few hundred steps. Until then such a policy mostly picks the slot it was
+just fed, again and again, so `rollout` scores the slots only when the
+choice could change: after a step that picked the slot it was fed, with
+margin M, a later step fed that slot keeps it unscored while
+2 sum |v| |q - q_ref| + 4 eps < M. tanh is 1-Lipschitz, so no score can
+move further than sum |v| |q - q_ref| from the query q_ref, and eps bounds
+the rounding of a computed score; the chosen slots are those of scoring
+every step, bit for bit (derived in `rollout`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -560,12 +568,18 @@ def bc_loss(action_logits: Var | list[Var], expert_steps: list[int], task_logits
 # whose period is longer than this is decoded step by step to the end.
 CYCLE_WINDOW = 256
 
+# The unit roundoff of float64, 2^-53, times a safety factor of 2^10: the
+# rounding slack of `rollout`'s pointer-score bound, per unit of
+# ||v||_1 (d_attn + max|P| + max|q| + 8).
+SCORE_SLACK = 2.0 ** -53 * 2.0 ** 10
+
 
 def rollout(features: Features, p: dict, max_steps: int,
             task_mode: str = TASK_NONE) -> tuple[list[int], int | None]:
     """Greedy decoding: argmax slot each step, feeding back the chosen token.
 
     `p` maps parameter names to Vars or plain arrays; no tape is built.
+    `max_steps` is at most sys.maxsize, the length of the longest list.
 
     A decoder step is a fixed function of its input, the fed-back token and
     the state (a, d). Once an input comes back bit for bit, lambda steps
@@ -573,11 +587,43 @@ def rollout(features: Features, p: dict, max_steps: int,
     decoding stops there: the remaining steps repeat the last lambda
     actions, and the task head reads the state the cycle is in after them.
     Only the last CYCLE_WINDOW inputs are remembered, so the memory held
-    besides the returned steps is bounded whatever `max_steps` is. The
-    result equals decoding every step.
+    besides the returned steps is bounded whatever `max_steps` is.
+
+    The GRU runs every step, but the pointer scores are computed only when
+    the chosen slot could change. When a full evaluation at query q_ref
+    picks the slot s it was fed, with margin M over the runner-up (0 on a
+    tie), a later step fed s at query q takes s again without scoring if
+
+        2 sum_a |v_a| |q_a - q_ref,a| + 4 eps < M.
+
+    Why that is exact: write s_j(q) = v . tanh(P_j + q) for slot j's exact
+    score at the float query q, and s~_j(q) for the score `pointer_scores`
+    computes. tanh is 1-Lipschitz, so no exact score moves by more than
+    D = sum_a |v_a| |q_a - q_ref,a| from q_ref to q. With u = 2^-53,
+    |s~_j - s_j| is at most the sum over coordinates a of
+      |v_a| u (max|P| + |q_a|) from rounding P + q, which tanh passes on
+        unamplified;
+      |v_a| 8u for tanh itself: libm's (numpy 1.24) and numpy 2.x's SIMD
+        kernels are within a few ulp, and an ulp in [-1, 1] is at most u;
+      |v_a| 1.01 d_attn u for the dot with v, in any summation order
+        (BLAS's included), as |tanh| <= 1;
+    so at most e0 = u ||v||_1 (1.01 d_attn + max|P| + max|q_ref| + 8) + u D.
+    Where the bound passes, D < M / 2 <= 1.01 ||v||_1, since computed
+    scores lie within 1.01 ||v||_1 of 0; so eps = SCORE_SLACK ||v||_1
+    (d_attn + max|P| + max|q_ref| + 8) exceeds 800 e0, and 4 (eps - e0)
+    covers the rounding of M, of D and of the test itself (each under
+    3 (d_attn + 2) u ||v||_1). Then every exact score trails s's by at
+    least M - 2 e0 at q_ref and M - 2 e0 - 2 D at q, and every computed
+    one at q by at least M - 4 e0 - 2 D > 0: s is the unique argmax, as a
+    full evaluation would find. (The gap between two exact scores moves
+    by less than D, as tanh' lies in (0, 1] for both, so 2 D is twice
+    what is needed.) A failed test scores in full and re-anchors if s is
+    chosen again; a NaN or overflowing bound never passes. A rollout whose
+    slot changes every step never anchors. The result equals decoding and
+    scoring every step.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    if not 1 <= max_steps <= sys.maxsize:
+        raise ValueError(f"max_steps must be between 1 and {sys.maxsize}")
     pv = _arrays(p)
     X = embed([features], pv)[1]
     n = X.shape[0] - 1
@@ -588,10 +634,13 @@ def rollout(features: Features, p: dict, max_steps: int,
     # and the loop ends before a chosen stop could be fed back.
     A_dec = project_inputs(pv, "dec", X)
     U = recurrent_weights(pv, "dec")
+    W2, v = pv["W2"], pv["v"]
     d = E[-1]
     a = n
     steps: list[int] = []
     seen: dict[tuple[int, bytes], tuple] = {}  # input -> (step fed, state), oldest first
+    anchor = None  # (s, q_ref, (M - 4 eps) / 2) of the last repeat that leaves room
+    abs_v = None   # |v|, set with ||v||_1 and max|P| at the first repeat
     for t in range(max_steps):
         key = (a, d.tobytes())
         if key in seen:
@@ -605,13 +654,24 @@ def rollout(features: Features, p: dict, max_steps: int,
             del seen[next(iter(seen))]
         seen[key] = t, d
         d = gru_step(U, "dec", A_dec[a], d)[0]
-        logits, _ = pointer_scores(P, d @ pv["W2"], pv["v"])
-        a = int(np.argmax(logits))  # ties resolve to the lowest slot
+        q = d @ W2
+        if anchor is None or a != anchor[0] or not abs_v @ np.abs(q - anchor[1]) < anchor[2]:
+            logits, _ = pointer_scores(P, q, v)
+            fed, a = a, int(logits.argmax())  # ties resolve to the lowest slot
+            if a == fed:
+                if abs_v is None:
+                    abs_v = np.abs(v)
+                    v_norm, p_max = abs_v.sum(), np.abs(P).max()
+                best = logits[a]
+                logits[a] = -np.inf
+                eps = SCORE_SLACK * v_norm * (v.size + p_max + np.abs(q).max() + 8)
+                limit = (best - logits.max() - 4 * eps) / 2
+                anchor = (a, q, limit) if limit > 0 else None
         if a == n:
             break
         steps.append(a)
     head = task_logits(pv, task_mode, d, PE)
-    return steps, None if head is None else int(np.argmax(head))
+    return steps, None if head is None else int(head.argmax())
 
 
 def gradcheck_problem(seed: int = 0):

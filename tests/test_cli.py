@@ -492,6 +492,18 @@ def test_checkpoint_with_a_non_finite_parameter_is_data_error(tmp_path, capsys, 
     assert message in one_error_line(capsys)
 
 
+def test_rollout_with_more_steps_than_a_list_holds_is_usage_error(tmp_path, capsys):
+    # The rollout settles into a cycle; filling max_steps from it raised
+    # OverflowError on the repeat count before max_steps was range-checked.
+    assert run_cli(*synth_args(tmp_path, seed=3, n_snippets=20, lines_min=3, lines_max=5)) == 0
+    assert train_small(tmp_path, tmp_path / "demos.jsonl") == 0
+    capsys.readouterr()
+    assert run_cli("rollout", "--checkpoint", str(tmp_path / "ckpt.json"),
+                   "--corpus-dir", str(tmp_path / "corpus"), "--snippet", "snip0003",
+                   "--max-steps", "99999999999999999999") == 1
+    assert one_error_line(capsys) == f"error: max_steps must be between 1 and {sys.maxsize}"
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -251,8 +252,9 @@ def test_rollout_max_steps_and_determinism():
     a = policy.rollout(feats, params, max_steps=20)
     b = policy.rollout(feats, params, max_steps=20)
     assert a == b
-    with pytest.raises(ValueError):
-        policy.rollout(feats, params, max_steps=0)
+    for max_steps in (0, sys.maxsize + 1):
+        with pytest.raises(ValueError, match="max_steps must be between 1 and"):
+            policy.rollout(feats, params, max_steps=max_steps)
 
 
 def test_rollout_terminates_within_max_steps():
@@ -525,6 +527,106 @@ def test_rollout_cycle_longer_than_window_is_decoded_in_full(decoding_cases, mon
     assert (policy.rollout(feats, params, horizon, "classify")
             == oracle.rollout(feats, params, horizon, "classify"))
     assert calls["dec"] == mu + lam
+
+
+def count_pointer_scores(monkeypatch):
+    calls = {"pointer": 0}
+    scores = policy.pointer_scores
+
+    def counted(P, q, v):
+        calls["pointer"] += 1
+        return scores(P, q, v)
+
+    monkeypatch.setattr(policy, "pointer_scores", counted)
+    return calls
+
+
+@pytest.mark.parametrize("task_mode", ["none", "classify", "localize"])
+def test_rollout_skipping_scores_matches_oracle_on_random_policies(task_mode, monkeypatch):
+    # The oracle scores every slot on every step, with the policy's own
+    # cell, so its steps and task output are the ones `rollout` must give
+    # bit for bit: 300 policies per head, over network widths 2 to 8,
+    # parameter scales 0.5 to 10, snippets of 1 to 13 tokens and max_steps
+    # 1 to 300.
+    rng = np.random.default_rng(31)
+    calls, scored = count_decoder_steps(monkeypatch), count_pointer_scores(monkeypatch)
+    skipped = 0
+    for seed in range(300):
+        d_emb, d_hidden, d_attn = (int(d) for d in rng.integers(2, 9, size=3))
+        cfg = head_config(task_mode, d_emb=d_emb, d_hidden=d_hidden, d_attn=d_attn, seed=seed)
+        params = scaled_params(5, cfg, factor=rng.uniform(0.5, 10.0))
+        feats = rng.standard_normal((int(rng.integers(1, 14)), 5)) * 3.0
+        max_steps = int(rng.integers(1, 301))
+        calls["dec"] = scored["pointer"] = 0
+        rolled = policy.rollout(feats, params, max_steps, task_mode)
+        skipped += scored["pointer"] < calls["dec"]
+        assert rolled == oracle.rollout(feats, params, max_steps, task_mode,
+                                        cell=oracle.fused_gru_step), seed
+    assert 30 < skipped < 270  # the scores were both skipped and computed throughout
+
+
+def test_rollout_on_an_exact_tie_never_skips(monkeypatch):
+    # With v = 0 every slot scores 0: slot 0 wins each tie, with no margin
+    # to skip on, so every decoder step scores the slots.
+    params = cycle_params(3, 4.0)
+    params["v"].value = np.zeros_like(params["v"].value)
+    feats = np.random.default_rng(37).standard_normal((6, 5)) * 3.0
+    calls, scored = count_decoder_steps(monkeypatch), count_pointer_scores(monkeypatch)
+    steps, _ = policy.rollout(feats, params, 50)
+    assert steps == [0] * 50 == oracle.rollout(feats, params, 50)[0]
+    assert scored["pointer"] == calls["dec"] > 1
+
+
+def test_rollout_scores_only_steps_whose_slot_could_change(decoding_cases, monkeypatch):
+    # A policy that picks the same slot step after step scores it on only
+    # some of its decoder steps; one whose slot changes every step (the
+    # rollout that stops) scores every step.
+    calls, scored = count_decoder_steps(monkeypatch), count_pointer_scores(monkeypatch)
+    seed, factor, feats, _ = decoding_cases["period 1"]
+    policy.rollout(feats, cycle_params(seed, factor), 10_000)
+    assert scored["pointer"] < calls["dec"]
+    seed, factor, feats, _ = decoding_cases["stops"]
+    calls["dec"] = scored["pointer"] = 0
+    steps, _ = policy.rollout(feats, cycle_params(seed, factor), 400)
+    assert all(a != b for a, b in zip(steps, steps[1:]))
+    assert scored["pointer"] == calls["dec"] == len(steps) + 1
+
+
+def drifting_policy(L=20.0):
+    """A hand-set policy on two tokens whose decoder state, the query, runs
+    in a straight line from the encoder's last state (0.675, -0.675)
+    towards (-0.9, 0.9), whatever is fed. Slot 0's key (0, L) leaves only
+    its first coordinate unsaturated, slot 1's (L, 0) only its second, and
+    stop's is (-L, -L): slot 0 leads while q1 > q2, and each step closes
+    the gap by nearly sum |v| |dq|, as much as any step can."""
+    cfg = BCConfig(d_emb=2, d_hidden=2, d_attn=2)
+    params = zero_params(3, cfg)
+    c_enc, c_dec = np.array([0.9, -0.9]), np.array([-0.9, 0.9])
+    # Biases alone: each GRU moves its state a fixed share z of the way to c.
+    params["enc_bh"].value = np.arctanh(c_enc)                # z = 1/2
+    params["dec_bh"].value = np.arctanh(c_dec)
+    params["dec_bz"].value = np.full(2, np.log(0.05 / 0.95))  # z = 0.05
+    e_0 = c_enc / 2
+    e_1 = e_0 + (c_enc - e_0) / 2
+    e_stop = np.array([0.5, 0.5])
+    keys = np.linalg.solve(np.array([[*e_0, 1.0], [*e_1, 1.0], [*e_stop, 1.0]]),
+                           np.array([[0.0, L], [L, 0.0], [-L, -L]]))
+    params["W1"].value, params["b_a"].value = keys[:2], keys[2]
+    params["e_stop"].value = e_stop
+    params["W2"].value = np.eye(2)
+    params["v"].value = np.ones(2)
+    return params
+
+
+def test_rollout_skips_up_to_a_slot_change_and_not_past_it(monkeypatch):
+    # The bound leaves the scores out on most steps, but not on the step
+    # where slot 1 overtakes slot 0: a bound four times looser misses it.
+    params, feats = drifting_policy(), np.zeros((2, 3))
+    calls, scored = count_decoder_steps(monkeypatch), count_pointer_scores(monkeypatch)
+    steps, _ = policy.rollout(feats, params, 40)
+    assert steps == [0] * 10 + [1] * 30
+    assert scored["pointer"] < calls["dec"] // 2
+    assert steps == oracle.rollout(feats, params, 40, cell=oracle.fused_gru_step)[0]
 
 
 # ---------------------------------------------------------------------------
