@@ -7,7 +7,8 @@ batch's groups add up to one Adam step. The budget takes a whole batch
 of eight 12-16-line snippets (up to 128 tokens each) as one group, and
 leaves a full read of a long file in a group of its own. Evaluation runs
 the same forward on the checkpoint's arrays, taking no gradient and
-building no tape, and `predict` rolls out on them the same way. Only the
+building no tape, so its GRU runs keep only their states, and `predict`
+rolls out on them the same way. Only the
 snippets the trajectories reference are featurized, and the one-hot
 modes keep one token id per token (`features.TokenIds`), so the feature
 cache grows with the tokens, not with tokens x vocabulary.

@@ -8,6 +8,11 @@ uses that cell too, so the policy's fused cell is checked against it. It
 decodes every step, with no cycle detection, so it also checks the
 policy's rollout, which stops stepping once a decoder input repeats.
 Tests compare losses, gradients and rollouts with the policy's.
+
+`fused_gru_step` and `fused_gru_backward` take z and r from one matmul
+and one sigmoid, like the policy, but make a new array for every
+operation: the policy's in-place GRU step and backpropagation through
+time must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -37,8 +42,49 @@ def gru_step(p, prefix, x, h):
 
 
 def fused_gru_step(p, prefix, x, h):
-    """The policy's cell, z and r from one matmul, called like `gru_step`."""
-    return policy.gru_step(policy.recurrent_weights(p, prefix), prefix, x, h)
+    """The fused cell, z and r from one matmul, called like `gru_step`."""
+    n = h.shape[-1]
+    Uzr = np.concatenate([p[prefix + "_Uz"], p[prefix + "_Ur"]], axis=1)
+    zr = _sigmoid(x[..., :2 * n] + h @ Uzr)
+    z, r = zr[..., :n], zr[..., n:]
+    c = np.tanh(x[..., 2 * n:] + (r * h) @ p[prefix + "_Uh"])
+    return h + z * (c - h), z, r, c
+
+
+def fused_gru_backward(p, prefix, run, G):
+    """Backpropagation through time over a `policy.GRURun`, called like
+    `policy._gru_backward`, with the fused cell's arithmetic: a new array
+    for every operation, and the per-step factors of the whole run at once."""
+    T, B, n = run.Z.shape
+    Hp, Z, R, C = run.H[:-1], run.Z, run.R, run.C
+    Uh_T = p[prefix + "_Uh"].T
+    Uzr_T = np.concatenate([p[prefix + "_Uz"], p[prefix + "_Ur"]], axis=1).T
+    to_c = Z * (1.0 - C * C)
+    to_z = (C - Hp) * Z * (1.0 - Z)
+    to_r = Hp * R * (1.0 - R)
+    keep = 1.0 - Z
+    dA = np.empty((T, B, 3 * n))
+    dh = np.zeros((B, n))
+    for t in range(T - 1, -1, -1):
+        dh = dh + G[t]
+        dc = np.multiply(dh, to_c[t], out=dA[t, :, 2 * n:])
+        dq = dc @ Uh_T
+        np.multiply(dh, to_z[t], out=dA[t, :, :n])
+        np.multiply(dq, to_r[t], out=dA[t, :, n:2 * n])
+        dh = dh * keep[t] + dq * R[t] + dA[t, :, :2 * n] @ Uzr_T
+    rh = (R * Hp).reshape(T * B, n)
+    dA = dA.reshape(T * B, 3 * n)
+    Hp = Hp.reshape(T * B, n)
+    dW, db = run.X.T @ dA, dA.sum(axis=0)
+    dU = Hp.T @ dA[:, :2 * n]
+    grads = {f"{prefix}_Uz": dU[:, :n], f"{prefix}_Ur": dU[:, n:],
+             f"{prefix}_Uh": rh.T @ dA[:, 2 * n:]}
+    for k, g in enumerate(GATES):
+        cols = slice(k * n, (k + 1) * n)
+        grads[f"{prefix}_W{g}"] = dW[:, cols]
+        grads[f"{prefix}_b{g}"] = db[cols]
+    W = np.concatenate([p[f"{prefix}_W{g}"] for g in GATES], axis=1)
+    return grads, dA @ W.T, dh
 
 
 def gru_run(p, prefix, X, h0, cell=gru_step):
