@@ -510,8 +510,9 @@ def forward_teacher(features: list[Features], steps: list[list[int]], p: dict,
     loss is a tape node whose backward reaches them: the pointer gradients
     are taken in the forward (see `pointer_loss`), and the backward runs
     the decoder's and the encoder's backpropagation through time from
-    them. If `p` holds plain arrays, no gradient is taken and the loss is
-    a constant. Features get no gradient.
+    them. The backward frees the key and query gradients before those
+    runs, so it can run only once. If `p` holds plain arrays, no gradient
+    is taken and the loss is a constant. Features get no gradient.
     """
     B = len(features)
     labels = [None] * B if labels is None else labels
@@ -574,19 +575,25 @@ def forward_teacher(features: list[Features], steps: list[list[int]], p: dict,
         return Var(total), outputs
 
     def bwd(g):
+        nonlocal dPE, dQ
+        if dPE is None:
+            raise RuntimeError("forward_teacher's backward ran already and freed its gradients")
         H, A = E.shape[-1], dPE.shape[-1]
         grads = {"v": dv, "e_stop": pv["W1"] @ d_stop,
                  "W1": E.reshape(-1, H).T @ dPE.reshape(-1, A) + np.outer(pv["e_stop"], d_stop),
                  "b_a": dPE.reshape(-1, A).sum(axis=0) + d_stop,
                  "W2": D.reshape(-1, H).T @ dQ.reshape(-1, A)}
         dD = dQ @ pv["W2"].T
+        dH = dPE @ pv["W1"].T
+        # The key and query gradients are dead: free them before both
+        # backpropagations through time.
+        dPE = dQ = None
         if cfg.task_mode == TASK_CLASSIFY:
             grads["W_task"] = D[Ks, every].T @ G_task
             dD[Ks, every] += G_task @ pv["W_task"].T
         elif cfg.task_mode == TASK_LOCALIZE:
             grads["v_loc"] = dv_loc
         dec_grads, dX_dec, dh0 = _gru_backward(pv, "dec", dec, dD)
-        dH = dPE @ pv["W1"].T
         dH[ns - 1, every] += dh0
         enc_grads, dX_enc, _ = _gru_backward(pv, "enc", enc, dH)
         dX = _scatter_rows(np.concatenate([enc_rows.reshape(-1), dec_rows.reshape(-1)]),

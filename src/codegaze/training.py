@@ -18,7 +18,9 @@ decimal strings, which preserves all 64 bits. A checkpoint is canonical
 JSON (sorted keys), written a piece at a time through json's C encoder:
 each section, and the parameters one at a time, so saving holds one
 parameter's list and text besides the checkpoint itself. Loading rejects
-a parameter that is not finite.
+a parameter that is not finite, and puts the parameters in one buffer,
+each a view of its segment, as Adam's packed store leaves a trained
+checkpoint's (`autodiff.adam_init`), rather than in one allocation each.
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ FLOAT_ENCODING = "shortest-roundtrip-decimal"
 
 # Bound on a lockstep group's padded size, max(n, K+1) x group size: the
 # working set of its graph grows with it (see `lockstep_groups`). At the
-# default network sizes a padded row holds about 4.5 KB at the peak of
+# default network sizes a padded row holds about 4.2 KB at the peak of
 # forward plus backward (the encoder run's input row, states and gates, its
-# key's gradient, and its BPTT gate gradients): 3.7 MB for a group of eight
-# 73-97-token skims (776 rows), 4.7 MB for a full group, besides the
-# pointer's tanh block (`policy.POINTER_BLOCK`).
+# state's gradient, and its BPTT gate gradients): 3.2 MB for a group of
+# eight 73-97-token skims (776 rows), about 4.3 MB for a full group,
+# besides the pointer's tanh block (`policy.POINTER_BLOCK`).
 ROW_BUDGET = 1024
 
 
@@ -297,7 +299,9 @@ def _vocab_from_obj(obj) -> Vocab:
 def _params_from_obj(obj, cfg: policy.BCConfig, spec: FeatureSpec,
                      vocab: Vocab) -> dict[str, np.ndarray]:
     """The parameter arrays, which must be finite and have the shapes
-    `policy.param_shapes` gives for the checkpoint's config and feature width."""
+    `policy.param_shapes` gives for the checkpoint's config and feature width,
+    as views of one buffer in that order (`autodiff.pack`), as training
+    leaves them."""
     check_json_object(obj, dict.fromkeys(obj, dict) if isinstance(obj, dict) else {}, "params")
     params = {}
     for name, entry in obj.items():
@@ -324,11 +328,12 @@ def _params_from_obj(obj, cfg: policy.BCConfig, spec: FeatureSpec,
         d_feat = (params["W_in"].shape or (0,))[0]
     else:
         d_feat = spec.dim(vocab)
-    for name, shape in policy.param_shapes(d_feat, cfg).items():
+    shapes = policy.param_shapes(d_feat, cfg)
+    for name, shape in shapes.items():
         if params[name].shape != shape:
             raise ValueError(f"parameter {name!r} has shape {list(params[name].shape)}, "
                              f"expected {list(shape)}")
-    return params
+    return ad.pack({name: params[name] for name in shapes})[1]
 
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:

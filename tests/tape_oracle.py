@@ -13,10 +13,15 @@ Tests compare losses, gradients and rollouts with the policy's.
 and one sigmoid, like the policy, but make a new array for every
 operation: the policy's in-place GRU step and backpropagation through
 time must equal them bit for bit.
+
+`adam_step` is the per-parameter Adam update, with a new array for every
+operation, that `autodiff.adam_step` ran before the parameters were
+packed into one vector: the packed step must equal it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -216,3 +221,25 @@ def rollout(features, p, max_steps, task_mode=policy.TASK_NONE, inputs=None, cel
     elif task_mode == policy.TASK_LOCALIZE:
         task_out = int(np.argmax(np.tanh(P[:n] + d @ pv["W2"]) @ pv["v_loc"]))
     return steps, task_out
+
+
+def adam_step(params, grads, state):
+    """One Adam step on plain arrays, one parameter at a time: `params` maps
+    names to arrays and gets new ones; `state` is a dict of lr, clip, step
+    and the moments m and v by name, updated in place."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = math.sqrt(total)
+    factor = state["clip"] / norm if 0 < state["clip"] < norm else 1.0
+    state["step"] += 1
+    bc1 = 1.0 - ad.BETA1 ** state["step"]
+    bc2 = 1.0 - ad.BETA2 ** state["step"]
+    for name in params:
+        g = grads[name] * factor
+        m, v = state["m"][name], state["v"][name]
+        m *= ad.BETA1
+        m += (1.0 - ad.BETA1) * g
+        v *= ad.BETA2
+        v += (1.0 - ad.BETA2) * (g * g)
+        params[name] = params[name] - state["lr"] * (m / bc1) / (np.sqrt(v / bc2) + ad.EPSILON)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from codegaze import autodiff as ad
+from codegaze import policy
 from codegaze.autodiff import ShapeError, Var
+
+import tape_oracle as oracle
 
 
 def test_tanh_sigmoid_at_zero():
@@ -140,6 +143,103 @@ def test_gradient_clipping_at_global_norm():
     ad.adam_step(params, grads, state)
     # effective gradient was scaled to norm 5 -> moments reflect that
     assert np.hypot(*state.m["a"]) * 10 == pytest.approx(5.0)
+
+
+def every_param_shape():
+    """Each shape `policy.param_shapes` gives, over both task heads."""
+    shapes = {}
+    for mode in (policy.TASK_CLASSIFY, policy.TASK_LOCALIZE):
+        shapes.update(policy.param_shapes(11, policy.BCConfig(task_mode=mode, n_classes=3)))
+    return shapes
+
+
+def test_adam_init_packs_the_values_into_one_buffer():
+    rng = np.random.default_rng(2)
+    params = {name: Var(rng.standard_normal(shape)) for name, shape in every_param_shape().items()}
+    before = {name: p.value.copy() for name, p in params.items()}
+    state = ad.adam_init(params)
+    assert state.values.size == sum(a.size for a in before.values())
+    for name, p in params.items():
+        assert p.value.shape == before[name].shape
+        assert p.value.tobytes() == before[name].tobytes()
+        assert p.value.base is state.m[name].base is state.v[name].base is state.values.base
+    assert state.moments.shape == state.scratch.shape == (2, state.values.size)
+    assert state.moments.base is state.scratch.base is state.values.base
+
+
+@pytest.mark.parametrize("clip", [0.0, 5.0])
+def test_packed_adam_equals_per_parameter_adam(clip):
+    # Gradients from 1e-3 to 1e3 times a standard normal: with clip 5 some
+    # steps clip and some do not; x_start's gradient is all zeros, and W1's
+    # is in Fortran order, which np.sum adds in another order.
+    shapes = every_param_shape()
+    rng = np.random.default_rng(3)
+    params = {name: Var(rng.standard_normal(shape)) for name, shape in shapes.items()}
+    ref = {name: p.value.copy() for name, p in params.items()}
+    state = ad.adam_init(params, lr=0.01, clip=clip)
+    ref_state = {"lr": 0.01, "clip": clip, "step": 0,
+                 "m": {name: np.zeros(shape) for name, shape in shapes.items()},
+                 "v": {name: np.zeros(shape) for name, shape in shapes.items()}}
+    clipped = []
+    for step in range(7):
+        grads = {name: rng.standard_normal(shape) * 10.0 ** (step - 3)
+                 for name, shape in shapes.items()}
+        grads["x_start"] = np.zeros(shapes["x_start"])
+        grads["W1"] = np.asfortranarray(grads["W1"])
+        clipped.append(0 < clip < ad.global_norm(grads))
+        ad.adam_step(params, grads, state)
+        oracle.adam_step(ref, grads, ref_state)
+        for name in shapes:
+            assert params[name].value.tobytes() == ref[name].tobytes(), (step, name)
+            assert state.m[name].tobytes() == ref_state["m"][name].tobytes(), (step, name)
+            assert state.v[name].tobytes() == ref_state["v"][name].tobytes(), (step, name)
+    assert (ref["x_start"] == params["x_start"].value).all()
+    assert state.step == ref_state["step"] == 7
+    assert any(clipped) == (clip > 0) and not all(clipped)
+
+
+def test_global_norm_from_packed_squares():
+    # Squares packed in C order give the same norm. np.sum adds a
+    # Fortran-ordered gradient in memory order, so its own squares are summed.
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        grads = {"a": rng.standard_normal((7, 32)),
+                 "b": np.asfortranarray(rng.standard_normal((48, 48))
+                                        * 10.0 ** rng.integers(-3, 4, (48, 48))),
+                 "c": rng.standard_normal(48)}
+        flat = np.concatenate(list(grads.values()), axis=None)
+        squares = np.split(flat * flat, np.cumsum([g.size for g in grads.values()])[:-1])
+        assert ad.global_norm(grads, dict(zip(grads, squares))) == ad.global_norm(grads)
+
+
+@pytest.mark.parametrize("ratio", [1 - 1e-7, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-4])
+def test_packed_adam_at_the_clip(ratio):
+    # Norms this close to the clip take global_norm's sums to decide. The
+    # gradients' magnitudes vary, so that one sum of the packed squares
+    # differs from global_norm's in the last bit.
+    shapes = every_param_shape()
+    rng = np.random.default_rng(5)
+    params = {name: Var(rng.standard_normal(shape)) for name, shape in shapes.items()}
+    ref = {name: p.value.copy() for name, p in params.items()}
+    grads = {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+             for name, shape in shapes.items()}
+    clip = ad.global_norm(grads) / ratio
+    state = ad.adam_init(params, clip=clip)
+    ref_state = {"lr": state.lr, "clip": clip, "step": 0,
+                 "m": {name: np.zeros(shape) for name, shape in shapes.items()},
+                 "v": {name: np.zeros(shape) for name, shape in shapes.items()}}
+    ad.adam_step(params, grads, state)
+    oracle.adam_step(ref, grads, ref_state)
+    for name in shapes:
+        assert params[name].value.tobytes() == ref[name].tobytes(), name
+
+
+def test_adam_step_needs_the_packed_values():
+    params = {"a": Var(np.zeros(2)), "b": Var(np.zeros(3))}
+    state = ad.adam_init(params)
+    params["b"].value = np.ones(3)
+    with pytest.raises(ValueError, match="parameter 'b' is not the view adam_init packed"):
+        ad.adam_step(params, {"a": np.ones(2), "b": np.ones(3)}, state)
 
 
 def test_bitwise_determinism():

@@ -823,6 +823,27 @@ def test_skim_group_memory_is_bounded():
     assert peak < 4.5e6
 
 
+def test_skim_group_backward_frees_the_key_gradient():
+    # The group's backward drops the key and query gradients once it has
+    # formed their products, before both backpropagations through time, so
+    # forward plus backward peaks about 0.4 MB lower (3.64 MB kept them).
+    # Its node's backward then runs only once.
+    import tracemalloc
+
+    features, steps = skim_group()
+    params = policy.init_params(features[0].shape[1], BCConfig())
+    tracemalloc.start()
+    try:
+        loss, _ = policy.forward_teacher(features, steps, params, BCConfig())
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.4e6
+    with pytest.raises(RuntimeError, match="ran already"):
+        loss._backward(1.0)
+
+
 def dense(F):
     """The (n, dim) matrix that token ids F stand for."""
     D = np.zeros(F.shape)

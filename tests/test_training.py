@@ -181,6 +181,21 @@ def test_checkpoint_floats_lossless(tmp_path):
         assert (back.params[name] == arr).all()
 
 
+def test_parameters_share_one_buffer(tmp_path):
+    # Trained ones are views of Adam's packed store, and loaded ones are
+    # packed the same way.
+    ckpt = classify_checkpoint()
+    path = tmp_path / "c.json"
+    training.save_checkpoint(ckpt, path)
+    back = training.load_checkpoint(path)
+    for params in (ckpt.params, back.params):
+        base = params["W_in"].base
+        assert base is not None and all(arr.base is base for arr in params.values())
+    assert back.params["W_in"].base.size == sum(a.size for a in back.params.values())
+    for name, arr in ckpt.params.items():
+        assert back.params[name].tobytes() == arr.tobytes()
+
+
 def classify_checkpoint():
     """A seeded 0-epoch checkpoint with a classify head, so W_task is written,
     and a hand-written epoch log: no training arithmetic, so its bytes are
