@@ -408,9 +408,8 @@ def adam_step(params: dict[str, Var], grads: dict[str, np.ndarray], state: AdamS
     + EPSILON)) runs once over the whole vector, in the same order, writing
     into the state's vectors: the same bytes as updating each parameter on
     its own, without allocating. The clipping factor comes from
-    `global_norm`'s per-parameter sums whenever clipping can fire; one sum of
-    the packed squares rules it out otherwise. `params` must hold the Vars
-    `adam_init` packed.
+    `global_norm`'s per-parameter sums, read off the packed squares.
+    `params` must hold the Vars `adam_init` packed.
     """
     values, (m, v), (g, tmp) = state.values, state.moments, state.scratch
     for name in state.m:
@@ -419,12 +418,7 @@ def adam_step(params: dict[str, Var], grads: dict[str, np.ndarray], state: AdamS
     # Outputs positional, as in `policy.gru_step`.
     np.concatenate([grads[name] for name in state.m], axis=None, out=g)
     np.multiply(g, g, tmp)
-    # Summed in any order, n squares stay within n x 2^-53 of their exact
-    # sum, relative, so a norm clearly below the clip by one sum of them is
-    # below it by `global_norm`'s sums too, and clipping cannot fire.
-    norm = math.sqrt(np.add.reduce(tmp))
-    if 0 < state.clip and not norm < state.clip * (1.0 - 1e-6):
-        norm = global_norm(grads, _views(tmp, {name: (a.size,) for name, a in state.m.items()}))
+    norm = global_norm(grads, _views(tmp, {name: (a.size,) for name, a in state.m.items()}))
     factor = state.clip / norm if 0 < state.clip < norm else 1.0
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step

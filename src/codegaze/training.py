@@ -18,9 +18,10 @@ decimal strings, which preserves all 64 bits. A checkpoint is canonical
 JSON (sorted keys), written a piece at a time through json's C encoder:
 each section, and the parameters one at a time, so saving holds one
 parameter's list and text besides the checkpoint itself. Loading rejects
-a parameter that is not finite, and puts the parameters in one buffer,
-each a view of its segment, as Adam's packed store leaves a trained
-checkpoint's (`autodiff.adam_init`), rather than in one allocation each.
+a parameter that is not finite. A trained or loaded checkpoint keeps its
+parameters in one buffer that holds just them, each a view of its segment
+(`autodiff.pack`), rather than in one allocation each; a trained one's are
+copied out of Adam's store, which also holds the moments and scratch.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def train(trajectories: list[Trajectory], snippets: dict[str, Snippet],
                           "action_accuracy": metrics.action_accuracy,
                           "task_accuracy": metrics.task_accuracy})
     return Checkpoint(config=cfg, vocab=vocab, feature_spec=feature_spec,
-                      params={k: v.value for k, v in params.items()},
+                      params=ad.pack({k: v.value for k, v in params.items()})[1],
                       epoch_log=epoch_log)
 
 
@@ -300,8 +301,8 @@ def _params_from_obj(obj, cfg: policy.BCConfig, spec: FeatureSpec,
                      vocab: Vocab) -> dict[str, np.ndarray]:
     """The parameter arrays, which must be finite and have the shapes
     `policy.param_shapes` gives for the checkpoint's config and feature width,
-    as views of one buffer in that order (`autodiff.pack`), as training
-    leaves them."""
+    as views of one buffer in that order (`autodiff.pack`), as `train`
+    returns them."""
     check_json_object(obj, dict.fromkeys(obj, dict) if isinstance(obj, dict) else {}, "params")
     params = {}
     for name, entry in obj.items():

@@ -214,9 +214,10 @@ def test_global_norm_from_packed_squares():
 
 @pytest.mark.parametrize("ratio", [1 - 1e-7, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-4])
 def test_packed_adam_at_the_clip(ratio):
-    # Norms this close to the clip take global_norm's sums to decide. The
-    # gradients' magnitudes vary, so that one sum of the packed squares
-    # differs from global_norm's in the last bit.
+    # Norms just below, at and just above the clip: the packed update clips
+    # exactly when the per-parameter one does. The gradients' magnitudes
+    # vary, so that summing their squares in another order would change the
+    # norm's last bit.
     shapes = every_param_shape()
     rng = np.random.default_rng(5)
     params = {name: Var(rng.standard_normal(shape)) for name, shape in shapes.items()}
