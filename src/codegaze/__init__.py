@@ -2,8 +2,8 @@
 
 from .autodiff import AdamState, Var, adam_init, adam_step, backward, grad_check
 from .features import FeatureSpec, Vocab, build_vocab, featurize
-from .gaze import (Fixation, LayoutSpec, Trajectory, augment, build_trajectory,
-                   map_fixation, map_fixations)
+from .gaze import (Fixation, LayoutSpec, Trajectory, augment, augment_all, build_trajectories,
+                   build_trajectory, map_fixation, map_fixations)
 from .lexer import LabelKind, Snippet, TaskLabel, Token, TokenKind, tokenize
 from .policy import BCConfig, bc_loss, encode, forward_teacher, init_params, rollout
 from .synth import GeneratorConfig, bug_seeker, gen_snippet, keyword_skimmer, linear_reader
@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "Var", "adam_init", "adam_step", "backward", "grad_check",
     "FeatureSpec", "Vocab", "build_vocab", "featurize",
-    "Fixation", "LayoutSpec", "Trajectory", "augment", "build_trajectory",
-    "map_fixation", "map_fixations",
+    "Fixation", "LayoutSpec", "Trajectory", "augment", "augment_all", "build_trajectories",
+    "build_trajectory", "map_fixation", "map_fixations",
     "LabelKind", "Snippet", "TaskLabel", "Token", "TokenKind", "tokenize",
     "BCConfig", "bc_loss", "encode", "forward_teacher", "init_params", "rollout",
     "GeneratorConfig", "bug_seeker", "gen_snippet", "keyword_skimmer",

@@ -11,6 +11,11 @@ cannot be written, or an unknown snippet id. Each command checks the files
 it will write before it reads any input (see `_check_outputs`). `train`
 and `eval` give a trajectory without a label of the head's kind its
 snippet's label (see `_backfill_tasks`).
+
+`ingest` and `augment` work a whole file at a time: `ingest` reads every
+fixation file into an array and maps all of them in one
+`gaze.build_trajectories` pass, and `augment` expands every trajectory of
+its input in one `gaze.augment_all` call.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from pathlib import Path
 from . import autodiff as ad
 from . import policy, synth, training
 from .features import FeatureSpec
-from .gaze import (EmptyTrajectoryError, LayoutSpec, augment, build_trajectory, load_layout,
-                   read_fixations_csv, read_trajectories_jsonl, write_fixations_csv,
-                   write_trajectories_jsonl)
+# `augment` is not called here; perfbench/spans.py traces it under this name.
+from .gaze import (EmptyTrajectoryError, LayoutSpec, augment, augment_all,  # noqa: F401
+                   build_trajectories, load_layout, read_fixation_table, read_trajectories_jsonl,
+                   write_fixations_csv, write_trajectories_jsonl)
 from .lexer import (DataError, LabelKind, TaskLabel, attach_labels, check_json_object,
                     load_corpus, load_labels, lookup_snippet, write_jsonl)
 
@@ -158,16 +164,15 @@ def cmd_ingest(cfg: dict) -> int:
     _check_outputs(cfg, "out")
     layout = load_layout(cfg["layout"])
     corpus = _load_corpus(dict(cfg, tab_width=layout.tab_width))
-    trajectories = []
-    for path in sorted(Path(cfg["gaze_dir"]).glob("*.csv")):
+    recordings = []
+    for path in sorted(Path(cfg["gaze_dir"]).glob("*.csv"), key=lambda path: path.name):
         snippet = lookup_snippet(corpus, path.stem,
                                  f"gaze file {path}: no snippet {path.stem!r} in corpus")
-        trajectories.append(build_trajectory(
-            read_fixations_csv(path), layout, snippet,
-            min_dur_ms=cfg["min_dur_ms"], radius_px=cfg["radius_px"]))
-    if not trajectories:
+        recordings.append((read_fixation_table(path), snippet))
+    if not recordings:
         raise EmptyTrajectoryError(f"no fixation files found in {cfg['gaze_dir']}")
-    write_trajectories_jsonl(trajectories, cfg["out"])
+    write_trajectories_jsonl(build_trajectories(recordings, layout, min_dur_ms=cfg["min_dur_ms"],
+                                                radius_px=cfg["radius_px"]), cfg["out"])
     return 0
 
 
@@ -175,12 +180,12 @@ def cmd_augment(cfg: dict) -> int:
     _require(cfg, "corpus_dir", "trajectories", "out")
     _check_outputs(cfg, "out")
     corpus = _load_corpus(cfg)
-    expanded = []
-    for i, traj in enumerate(read_trajectories_jsonl(cfg["trajectories"])):
-        snippet = lookup_snippet(corpus, traj.snippet_id,
-                                 f"trajectory references unknown snippet {traj.snippet_id!r}")
-        expanded.extend(augment(traj, snippet, cfg["sigma_tokens"], cfg["m"], cfg["seed"] + i))
-    write_trajectories_jsonl(expanded, cfg["out"])
+    trajectories = read_trajectories_jsonl(cfg["trajectories"])
+    snippets = [lookup_snippet(corpus, traj.snippet_id,
+                               f"trajectory references unknown snippet {traj.snippet_id!r}")
+                for traj in trajectories]
+    groups = augment_all(trajectories, snippets, cfg["sigma_tokens"], cfg["m"], cfg["seed"])
+    write_trajectories_jsonl([copy for group in groups for copy in group], cfg["out"])
     return 0
 
 

@@ -105,6 +105,8 @@ class BCConfig:
             raise ValueError("batch must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.task_mode not in (TASK_NONE, *TASK_KINDS):
             raise ValueError(f"unknown task_mode {self.task_mode!r}")
         if self.task_mode == TASK_CLASSIFY and self.n_classes < 2:
@@ -764,10 +766,10 @@ def gradcheck_problem(seed: int = 0):
     implementation look wrong. Backward-rule correctness is independent of the
     probe point.
     """
-    rng = np.random.default_rng(seed)
-    shapes, labels, d_feat = [(12, 5), (9, 3)], [1, 2], 20
     bc = BCConfig(w_att=1.0, w_aux=1.0, d_emb=8, d_hidden=8, d_attn=8,
                   seed=seed, task_mode=TASK_CLASSIFY, n_classes=3)
+    rng = np.random.default_rng(seed)
+    shapes, labels, d_feat = [(12, 5), (9, 3)], [1, 2], 20
     features = [rng.standard_normal((n, d_feat)) * 4.0 for n, _ in shapes]
     steps = [[int(s) for s in rng.integers(0, n, size=k)] for n, k in shapes]
     params = init_params(d_feat, bc)

@@ -42,6 +42,8 @@ class GeneratorConfig:
     ident_pool: list[str] = field(default_factory=lambda: list(DEFAULT_IDENT_POOL))
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.n_classes < 2:
             raise ValueError("n_classes must be at least 2")
         if self.lines_min < 1 or self.lines_max < self.lines_min:

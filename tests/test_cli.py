@@ -762,8 +762,9 @@ def test_file_option_naming_a_directory_is_data_error(tmp_path, capsys, monkeypa
         raise AssertionError("the work ran before its output was checked")
 
     # An output is checked before any input is read or any work is done.
-    for owner, name in [(training, "train"), (cli, "augment"), (cli, "build_trajectory"),
-                        (cli, "load_corpus"), (cli, "load_layout"), (synth, "gen_source")]:
+    for owner, name in [(training, "train"), (cli, "augment_all"), (cli, "build_trajectories"),
+                        (cli, "read_fixation_table"), (cli, "load_corpus"), (cli, "load_layout"),
+                        (synth, "gen_source")]:
         monkeypatch.setattr(owner, name, never)
     assert run_cli(*argv(tmp_path)) == 2
     assert str(tmp_path / "corpus") in one_error_line(capsys)
@@ -910,3 +911,19 @@ def test_non_finite_numeric_option_is_usage_error(tmp_path, capsys, command, fla
     assert run_cli(*argv[command], *flags) == code
     if message is not None:
         assert one_error_line(capsys) == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "augment", "gradcheck"])
+def test_negative_seed_is_usage_error_naming_the_seed(tmp_path, capsys, command):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    argv = {
+        "synth": synth_args(tmp_path / "again"),
+        "train": train_args(tmp_path),
+        "augment": ["augment", "--corpus-dir", str(tmp_path / "corpus"),
+                    "--trajectories", str(tmp_path / "demos.jsonl"),
+                    "--out", str(tmp_path / "aug.jsonl")],
+        "gradcheck": ["gradcheck"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--seed", "-5") == 1
+    assert one_error_line(capsys) == "error: seed must be non-negative, not -5"

@@ -16,7 +16,7 @@ from codegaze.gaze import (EmptyTrajectoryError, Fixation, GazeFileError, Layout
                            map_fixation, map_fixations, merge_consecutive, read_fixations_csv,
                            read_trajectories_jsonl, token_box, write_fixations_csv,
                            write_trajectories_jsonl)
-from codegaze.lexer import Snippet, tokenize
+from codegaze.lexer import Snippet, finite_floats, read_csv_rows, tokenize
 
 LAYOUT = LayoutSpec(origin_x_px=20, origin_y_px=20, char_width_px=9,
                     line_height_px=18, tab_width=4)
@@ -340,8 +340,9 @@ def loop_augment(traj, snippet, sigma_tokens, m, seed):
     """`augment` as it was with one table row per distinct step built in a
     loop and one draw per copy; returns (copies, weights) of the m copies."""
     rng = np.random.default_rng(seed)
-    window = math.ceil(2.0 * sigma_tokens)
     n = len(snippet.tokens)
+    # no candidate lies n or more tokens away, so a wider window adds only padding
+    window = min(math.ceil(2.0 * sigma_tokens), n)
     distinct = sorted(set(traj.steps))
     width = 2 * window + 1
     cands = np.zeros((len(distinct), width), dtype=np.int64)
@@ -470,6 +471,215 @@ def test_augment_keeps_a_benchmark_sized_trajectory_in_one_chunk(monkeypatch):
     assert len(tables) == 400
 
 
+def mixed_file(seed=17):
+    """Trajectories of one augment input: 3-5-line linear reads, 12-16-line
+    skims, random walks on a snippet of three 40-token lines and on one whose
+    tokens are shuffled, interleaved, with some snippets read twice."""
+    short = synth.GeneratorConfig(seed=seed, n_snippets=5, lines_min=3, lines_max=5)
+    long = synth.GeneratorConfig(seed=seed, n_snippets=3, lines_min=12, lines_max=16)
+    wide = tokenize("\n".join(" ".join(f"v{i}_{j}" for j in range(40)) for i in range(3)),
+                    snippet_id="wide")
+    shuffled = sample_snippet()
+    shuffled = Snippet("shuffled", [shuffled.tokens[i] for i in
+                                    np.random.default_rng(0).permutation(len(shuffled.tokens))], 2)
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(5):
+        sn = synth.gen_snippet(short, i)
+        pairs.append((synth.linear_reader(sn), sn))
+    for i in range(3):
+        sn = synth.gen_snippet(long, i)
+        pairs.append((synth.keyword_skimmer(sn, long.keyword_set()), sn))
+    for sn, length in ((wide, 60), (shuffled, 30), (wide, 7)):
+        pairs.append((Trajectory(sn.id, rng.integers(0, len(sn.tokens), length).tolist()), sn))
+    pairs.append(pairs[0])
+    order = rng.permutation(len(pairs))
+    # two neighbours where one trajectory ends on the token the next starts on
+    sn = pairs[0][1]
+    first = [(Trajectory(sn.id, [0, 1, 2]), sn), (Trajectory(sn.id, [2, 1]), sn)]
+    return ([t for t, _ in first] + [pairs[i][0] for i in order],
+            [s for _, s in first] + [pairs[i][1] for i in order])
+
+
+@pytest.mark.parametrize("cells", [1, 7, 60, 500])
+def test_augment_all_matches_loop_reference_per_trajectory(monkeypatch, cells):
+    # chunks of `cells` positions x candidate slots split trajectories
+    monkeypatch.setattr(gaze, "AUGMENT_BLOCK_CELLS", cells)
+    trajs, snippets = mixed_file()
+    for sigma in (0.3, 1.0, 2.5, 1e6):
+        # from 8 copies on, numpy sums a trajectory's joints pairwise
+        for m in (1, 4, 6, 9):
+            out = gaze.augment_all(trajs, snippets, sigma, m, seed=11)
+            assert len(out) == len(trajs)
+            for i, (traj, sn, group) in enumerate(zip(trajs, snippets, out)):
+                copies, weights = loop_augment(traj, sn, sigma, m, 11 + i)
+                assert [(t.snippet_id, t.steps, t.weight) for t in group] == \
+                    [(traj.snippet_id, traj.steps, 0.5)] + [(traj.snippet_id, c, w)
+                                                              for c, w in zip(copies, weights)]
+
+
+def test_augment_all_checks_its_arguments():
+    trajs, snippets = mixed_file()
+    with pytest.raises(ValueError, match="^seed must be non-negative, not -1$"):
+        gaze.augment_all(trajs, snippets, 1.0, 4, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be non-negative"):
+        gaze.augment_all([], [], 1.0, 4, seed=-1)
+    assert gaze.augment_all([], [], 1.0, 4, seed=0) == []
+    bad = trajs[:3] + [Trajectory(snippets[3].id, [len(snippets[3].tokens)])]
+    with pytest.raises(StepRangeError, match=re.escape(f"snippet {snippets[3].id!r}: step")):
+        gaze.augment_all(bad, snippets[:4], 1.0, 4, seed=0)
+    out = gaze.augment_all(trajs, snippets, 1.0, 0, seed=0)
+    assert [[(t.steps, t.weight) for t in group] for group in out] == \
+        [[(t.steps, 1.0)] for t in trajs]
+
+
+def test_augment_all_keeps_each_table_to_its_own_window(monkeypatch):
+    # one 3,000-token line and 300 short snippets at a huge sigma: the long
+    # line's window is 2,999, every short snippet's its own widest line span
+    long = tokenize(" ".join(f"t{i}" for i in range(3000)), snippet_id="long")
+    gen = synth.GeneratorConfig(seed=2, n_snippets=300, lines_min=3, lines_max=5)
+    shorts = [synth.gen_snippet(gen, i) for i in range(300)]
+    snippets = shorts[:150] + [long] + shorts[150:]
+    trajs = [synth.linear_reader(sn) for sn in snippets]
+    tables = []
+    real_table = gaze._candidate_table
+    monkeypatch.setattr(gaze, "_candidate_table",
+                        lambda distinct, *args: tables.append((len(distinct), args[1]))
+                        or real_table(distinct, *args))
+    out = gaze.augment_all(trajs, snippets, 1e6, 2, seed=0)
+    assert [len(group) for group in out] == [3] * 301
+    spans = {max(sum(t.line == line for t in sn.tokens) for line in {t.line for t in sn.tokens}) - 1
+             for sn in shorts}
+    assert {window for _, window in tables} == spans | {2999}
+    # the 2,999-wide tables hold the long line's 3,000 steps and nothing else
+    assert sum(rows for rows, window in tables if window == 2999) == 3000
+    assert max(rows * (2 * window + 1) for rows, window in tables) <= gaze.AUGMENT_BLOCK_CELLS
+
+
+def test_augment_all_of_a_long_line_among_short_snippets_runs_in_bounded_memory():
+    # As test_augment_of_one_long_line_runs_in_bounded_memory, with the long
+    # line in one file with 300 short snippets: a table padded to the long
+    # line's window for every step would be 10,000 x 5,999 floats.
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from codegaze import synth\n"
+            "from codegaze.gaze import augment_all\n"
+            "from codegaze.lexer import tokenize\n"
+            "long = tokenize(' '.join(f't{i}' for i in range(3000)), snippet_id='long')\n"
+            "gen = synth.GeneratorConfig(seed=2, n_snippets=300, lines_min=3, lines_max=5)\n"
+            "sns = [long] + [synth.gen_snippet(gen, i) for i in range(300)]\n"
+            "out = augment_all([synth.linear_reader(sn) for sn in sns], sns, 1e6, 4, 0)\n"
+            "print(len(out), max(len(t.steps) for t in out[0]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gaze.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["301", "3000"]
+
+
+def test_augment_all_builds_one_table_for_a_benchmark_sized_file(monkeypatch):
+    # perfbench's ingest-infer augments full reads of 300 3-5-line snippets
+    # with sigma 1: every snippet's window is 2, and the file's 7,000-odd
+    # positions x 5 slots fit one chunk
+    tables = []
+    real_table = gaze._candidate_table
+    monkeypatch.setattr(gaze, "_candidate_table",
+                        lambda *args: tables.append(1) or real_table(*args))
+    gen = synth.GeneratorConfig(seed=41, n_snippets=300, lines_min=3, lines_max=5)
+    snippets = [synth.gen_snippet(gen, i) for i in range(300)]
+    gaze.augment_all([synth.linear_reader(sn) for sn in snippets], snippets, 1.0, 4, seed=41)
+    assert len(tables) == 1
+
+
+# ---------------------------------------------------------------------------
+# File-level ingest
+
+def random_recording(rng, sn, layout, n=60):
+    """A fixation table on `sn`: random points, NaN coordinates, box edges,
+    box centres, points equidistant from two centres, and short fixations."""
+    x0, y0, x1, y1 = gaze.token_boxes(layout, sn.tokens)
+    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+    k = len(sn.tokens)
+    i, j = rng.integers(0, k, n), rng.integers(0, k, n)
+    xs = np.concatenate([rng.uniform(-60, 500, n), x0[i], x1[i], (cx[i] + cx[j]) / 2, cx[i],
+                         [math.nan, 24.5]])
+    ys = np.concatenate([rng.uniform(-60, 250, n), y0[i], y1[j], (cy[i] + cy[j]) / 2, cy[j],
+                         [29.0, math.nan]])
+    order = rng.permutation(len(xs))
+    dur = rng.choice([10.0, 49.0, 50.0, 180.0], len(xs))
+    return np.column_stack([np.arange(len(xs), dtype=float), xs[order], ys[order], dur])
+
+
+def scan_trajectory(table, layout, sn, min_dur_ms, radius_px):
+    steps = [scan_map(Fixation(*row), layout, sn, radius_px) for row in table.tolist()
+             if not row[3] < min_dur_ms]
+    return merge_consecutive([s for s in steps if s is not None])
+
+
+@pytest.mark.parametrize("cells", [1, 50, 1 << 16])
+def test_build_trajectories_equals_per_file_build(monkeypatch, cells):
+    rng = np.random.default_rng(18)
+    layout = LayoutSpec(origin_x_px=13.25, origin_y_px=7.5, char_width_px=8.4,
+                        line_height_px=17.3)
+    snippets = parity_snippets() + [tokenize("", snippet_id="empty")]
+    recordings = [(random_recording(rng, sn, LAYOUT), sn) for sn in snippets[:-1]]
+    recordings.append((np.array([[0.0, 24.5, 29.0, 100.0]]), snippets[-1]))
+    # a file whose fixations are all too short, and one with none
+    short = random_recording(rng, snippets[0], LAYOUT)
+    short[:, 3] = 10.0
+    recordings += [(short, snippets[0]), (np.empty((0, 4)), snippets[1])]
+    monkeypatch.setattr(gaze, "MAP_BLOCK_CELLS", cells)
+    for lay in (LAYOUT, layout):
+        # a radius at exactly the nearest centre distance of a point in no box
+        table, sn = recordings[1]
+        outside = next(Fixation(*row) for row in table.tolist() if math.isfinite(row[1] + row[2])
+                       and scan_map(Fixation(*row), lay, sn, 0.0) is None)
+        exact = scan_nearest_distance(outside, lay, sn)
+        for min_dur, radius in ((50.0, 30.0), (0.0, 0.0), (50.0, 7.5), (0.0, math.inf),
+                                (0.0, exact)):
+            expected = []
+            for table, sn in recordings:
+                steps = scan_trajectory(table, lay, sn, min_dur, radius)
+                if steps:
+                    assert build_trajectory([Fixation(*row) for row in table.tolist()], lay, sn,
+                                            min_dur, radius).steps == steps
+                    expected.append((table, sn, steps))
+                else:
+                    with pytest.raises(EmptyTrajectoryError,
+                                       match=f"^empty trajectory for snippet {sn.id!r}$"):
+                        build_trajectory([Fixation(*row) for row in table.tolist()], lay, sn,
+                                         min_dur, radius)
+            got = gaze.build_trajectories([(t, sn) for t, sn, _ in expected], lay, min_dur,
+                                          radius)
+            assert [(t.snippet_id, t.steps, t.weight, t.task) for t in got] == \
+                [(sn.id, steps, 1.0, sn.task) for _, sn, steps in expected]
+            first_empty = next(sn for t, sn in recordings if not scan_trajectory(
+                t, lay, sn, min_dur, radius))
+            with pytest.raises(EmptyTrajectoryError,
+                               match=f"^empty trajectory for snippet {first_empty.id!r}$"):
+                gaze.build_trajectories(recordings, lay, min_dur, radius)
+
+
+def test_map_points_at_exactly_the_radius_across_snippets():
+    # one point at exactly the radius from its own snippet's nearest centre
+    # (or just inside it), mapped in one pass with points of other snippets
+    rng = np.random.default_rng(19)
+    snippets = parity_snippets()
+    xs, ys, owner, radii = [], [], [], []
+    for k, sn in enumerate(snippets):
+        for x, y in zip(rng.uniform(-60, 500, 40), rng.uniform(-60, 250, 40)):
+            xs.append(x), ys.append(y), owner.append(k)
+            radii.append(scan_nearest_distance(Fixation(0, x, y, 100), LAYOUT, sn))
+    x, y, k = np.array(xs), np.array(ys), np.array(owner)
+    for t in rng.choice(len(radii), 12, replace=False).tolist():
+        for radius in (radii[t], np.nextafter(radii[t], 0.0)):
+            got = gaze.map_points(x, y, k, LAYOUT, snippets, radius)
+            assert [None if i < 0 else i for i in got.tolist()] == [
+                scan_map(Fixation(0, *xy, 100), LAYOUT, snippets[j], radius)
+                for *xy, j in zip(xs, ys, owner)]
+
+
 # ---------------------------------------------------------------------------
 # IO round trips
 
@@ -510,6 +720,40 @@ def test_fixation_csv_bad_rows_name_the_line(tmp_path, row, message):
     with pytest.raises(GazeFileError) as info:
         read_fixations_csv(path)
     assert str(info.value) == f"{path}:4: {message}"
+
+
+def row_parser_table(path):
+    """The fixations of `path` as the strict row parser reads them, by onset."""
+    rows = [finite_floats(fields, gaze.FIXATION_COLUMNS, GazeFileError, path, line)
+            for line, fields in read_csv_rows(path, gaze.FIXATION_COLUMNS, "fixation file",
+                                              GazeFileError)]
+    return sorted(rows, key=lambda row: row[0])
+
+
+@pytest.mark.parametrize("text", [
+    "t_ms,x_px,y_px,dur_ms\n",
+    "t_ms,x_px,y_px,dur_ms",
+    "t_ms,x_px,y_px,dur_ms\r\n5,1.5,2,100\r\n\r\n0, 7 ,+1e2,1_000\r\n",
+    "dur_ms,x_px,t_ms,y_px,t_ms\n100,-0.0,3,4,x\n80,2,3,.5,y",
+    '"t_ms","x_px",y_px,dur_ms\n"1","2",3,4\n',
+    # csv reads one row with a two-line note: the second line is not a row
+    "t_ms,x_px,y_px,dur_ms,note\n0,10,20,100,\"x\n5,6,7,8,y\"\n",
+    "t_ms,x_px,y_px,dur_ms,note\n0,10,20,100,a,b\n",
+    "t_ms,x_px,y_px,dur_ms\n0,10,20,nan\n",
+])
+def test_read_fixation_table_reads_as_the_row_parser(tmp_path, text):
+    path = tmp_path / "gaze.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected = row_parser_table(path)
+    except GazeFileError as e:
+        with pytest.raises(GazeFileError) as info:
+            gaze.read_fixation_table(path)
+        assert str(info.value) == str(e)
+        return
+    table = gaze.read_fixation_table(path)
+    assert table.shape == (len(expected), 4) and table.tolist() == expected
+    assert read_fixations_csv(path) == [Fixation(*row) for row in expected]
 
 
 def test_layout_defaults_tab_width_and_converts_ints(tmp_path):
