@@ -165,7 +165,7 @@ def cmd_ingest(cfg: dict) -> int:
     layout = load_layout(cfg["layout"])
     corpus = _load_corpus(dict(cfg, tab_width=layout.tab_width))
     recordings = []
-    for path in sorted(Path(cfg["gaze_dir"]).glob("*.csv"), key=lambda path: path.name):
+    for path in sorted(Path(cfg["gaze_dir"]).glob("*.csv")):
         snippet = lookup_snippet(corpus, path.stem,
                                  f"gaze file {path}: no snippet {path.stem!r} in corpus")
         recordings.append((read_fixation_table(path), snippet))

@@ -14,12 +14,11 @@ candidate tables of every trajectory of a file together.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -435,43 +434,14 @@ def read_fixation_table(path: str | os.PathLike) -> np.ndarray:
     """A fixation CSV file as an (n, 4) array of FIXATION_COLUMNS, rows
     sorted by onset; blank lines are skipped.
 
-    A plain file is read straight into the array (see `_plain_table`).
-    Any other goes through the row parser, which raises GazeFileError,
-    naming `path:line`, on a row whose field count differs from the
-    header's or whose fixation field is not a finite number.
+    Raises GazeFileError, naming `path:line`, on a row whose field count
+    differs from the header's or whose fixation field is not a finite number.
     """
-    table = _plain_table(read_text(path, GazeFileError))
-    if table is None:
-        table = np.array([finite_floats(fields, FIXATION_COLUMNS, GazeFileError, path, line)
-                          for line, fields in read_csv_rows(path, FIXATION_COLUMNS,
-                                                            "fixation file", GazeFileError)],
-                         dtype=np.float64).reshape(-1, 4)
+    table = np.array([finite_floats(fields, FIXATION_COLUMNS, GazeFileError, path, line)
+                      for line, fields in read_csv_rows(path, FIXATION_COLUMNS, "fixation file",
+                                                        GazeFileError)],
+                     dtype=np.float64).reshape(-1, 4)
     return table[np.argsort(table[:, 0], kind="stable")]
-
-
-def _plain_table(text: str) -> np.ndarray | None:
-    """The unsorted fixation table of a CSV text that the csv module would
-    read as plain comma-split lines, and in which every row has the
-    header's field count and every fixation field is a finite number; else
-    None. The fields are parsed by `float`, as the row parser parses them."""
-    if '"' in text or "\0" in text or len(text) > csv.field_size_limit():
-        return None  # quoting, or a field that the csv module may reject
-    lines = text.split("\n")
-    names = lines[0].split(",")
-    rows = list(filter(None, lines[1:]))
-    if not (set(FIXATION_COLUMNS).issubset(names)
-            and set(map(str.count, rows, repeat(","))) <= {len(names) - 1}):
-        return None
-    if not rows:
-        return np.empty((0, 4))
-    fields = ",".join(rows).split(",")
-    try:
-        columns = [list(map(float, fields[names.index(name)::len(names)]))
-                   for name in FIXATION_COLUMNS]
-    except ValueError:
-        return None
-    table = np.array(columns, dtype=np.float64).T
-    return table if np.isfinite(table).all() else None
 
 
 def read_fixations_csv(path: str | os.PathLike) -> list[Fixation]:
