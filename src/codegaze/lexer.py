@@ -163,10 +163,13 @@ def read_text(path: str | os.PathLike, error: type[DataError]) -> str:
 
 
 def write_jsonl(path: str | os.PathLike, objs) -> None:
-    """Each object as one line of canonical JSON (sorted keys)."""
+    """Each object as one line of canonical JSON (sorted keys), as
+    `json.dumps(obj, sort_keys=True)` writes it, through one encoder
+    (json.dumps makes a new one per call)."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as f:
         for obj in objs:
-            f.write(json.dumps(obj, sort_keys=True) + "\n")
+            f.write(encode(obj) + "\n")
 
 
 def read_csv_rows(path: str | os.PathLike, columns: tuple[str, ...], what: str,

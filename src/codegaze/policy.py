@@ -33,9 +33,15 @@ shorter sequences padded at the end. The group's loss is one tape node.
 Its pointer gradients are taken in the forward, block by block on the
 tanh just computed (the loss is the graph's root, so its gradient is
 known there), and its backward runs hand-derived backpropagation through
-time over the cached gates. Without a gradient (evaluation) the runs keep
-only their states. Greedy `rollout` calls the same functions on plain
-arrays and builds no tape; only its feedback loop is its own. A
+time over the cached gates. Without a gradient (evaluation) the forward
+keeps only the GRU states: its runs gather and project their inputs a
+block of steps at a time, and in a group of two or more each
+trajectory's keys and queries are formed, and its logits scored, on
+their own. A 1-row product goes through gemv, which rounds differently
+from gemm, so none of these products has 1 row where the forward with a
+gradient has more, and both forwards give the same results bit for bit.
+Greedy `rollout` calls the same functions on plain arrays and builds no
+tape; only its feedback loop is its own. A
 decoder step is a fixed function of its input, the fed-back token and the
 state, so once an input comes back bit for bit every later step replays
 the cycle since its first time: `rollout` computes that cycle once and
@@ -55,7 +61,6 @@ the chosen slots are those of scoring every step, bit for bit (derived in
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -248,35 +253,55 @@ class GRURun(NamedTuple):
 
 
 def _gru_run(p: dict[str, np.ndarray], prefix: str, X: np.ndarray, h0: np.ndarray,
-             gates: bool = True) -> GRURun:
-    """A GRU over X from `h0`: one start state (H), or B of them (B x H).
+             gates: bool = True, rows: np.ndarray | None = None) -> GRURun:
+    """A GRU from `h0`, one start state (H) or B of them (B x H), over the
+    time-major input rows X[rows] (X itself without `rows`): row t*B + b,
+    or rows[t, b], is step t of sequence b.
 
     A sequence shorter than the run is padded at the end with any rows:
     the GRU is causal, so padding never changes a sequence's real states,
     and padded steps get exactly zero gradient when no loss reads them.
-    With `gates`, step t's gates z, r and candidate overwrite its gate
-    inputs, which it has read, so the gate inputs' array ends as the
-    gates'; without, the run keeps only its states.
+    With `gates`, the run gathers and projects all its rows at once, and
+    step t's gates z, r and candidate overwrite its gate inputs, which it
+    has read, so the gate inputs' array ends as the gates'. Without, the
+    run keeps only its states: it gathers and projects its rows a block of
+    FACTOR_BLOCK // (B H) steps at a time, as `_gru_backward` forms its
+    factors, so it never holds the whole run's rows or gate inputs. A
+    1-row product goes through gemv, which rounds differently from gemm,
+    so a block never has 1 row unless the whole run has; the states are
+    then those of projecting every row at once, bit for bit.
     """
-    d_hid = h0.shape[-1]
-    A = project_inputs(p, prefix, X).reshape((-1,) + h0.shape[:-1] + (3 * d_hid,))
-    X_zr, X_h = A[..., :2 * d_hid], A[..., 2 * d_hid:]
+    d_hid, B = h0.shape[-1], h0.size // h0.shape[-1]
+    rows = np.arange(len(X)) if rows is None else rows.reshape(-1)
+    T = len(rows) // B
     cell = gru_cell(p, prefix, h0.shape)
-    zr, c = cell.zr, cell.c
-    Hs = np.empty((A.shape[0] + 1,) + h0.shape)
+    Hs = np.empty((T + 1,) + h0.shape)
     Hs[0] = h0
-    for x_zr, x_h, h, h_out in zip(X_zr, X_h, Hs, Hs[1:]):
-        gru_step(cell, prefix, x_zr, x_h, h, h_out)
-        if gates:
+    if gates:
+        X = X[rows]
+        A = project_inputs(p, prefix, X).reshape((T,) + h0.shape[:-1] + (3 * d_hid,))
+        zr, c = cell.zr, cell.c
+        for x_zr, x_h, h, h_out in zip(A[..., :2 * d_hid], A[..., 2 * d_hid:], Hs, Hs[1:]):
+            gru_step(cell, prefix, x_zr, x_h, h, h_out)
             x_zr[...] = zr
             x_h[...] = c
-    if not gates:
-        return GRURun(None, Hs, None, None, None)
-    return GRURun(X, Hs, A[..., :d_hid], A[..., d_hid:2 * d_hid], X_h)
+        return GRURun(X, Hs, A[..., :d_hid], A[..., d_hid:2 * d_hid], A[..., 2 * d_hid:])
+    steps = max(1 if B > 1 else 2, FACTOR_BLOCK // (B * d_hid))
+    starts = list(range(0, T, steps))
+    if B == 1 and len(starts) > 1 and T - starts[-1] == 1:
+        starts.pop()  # the last block takes the last step too
+    for start, stop in zip(starts, starts[1:] + [T]):
+        A = project_inputs(p, prefix, X[rows[start * B:stop * B]])
+        A = A.reshape((stop - start,) + h0.shape[:-1] + (3 * d_hid,))
+        for x_zr, x_h, h, h_out in zip(A[..., :2 * d_hid], A[..., 2 * d_hid:],
+                                       Hs[start:], Hs[start + 1:stop + 1]):
+            gru_step(cell, prefix, x_zr, x_h, h, h_out)
+    return GRURun(None, Hs, None, None, None)
 
 
 # Elements of each per-block array `_gru_backward` forms the per-step
-# factors in.
+# factors in; a states-only `_gru_run` projects its inputs in blocks of as
+# many steps.
 FACTOR_BLOCK = 1 << 12
 
 
@@ -409,8 +434,7 @@ def encode(features: list[Features], p: dict,
     rows = np.full((max(ns), B), pad)
     for b, offset in enumerate(np.cumsum([0] + ns[:-1])):
         rows[:ns[b], b] = offset + np.arange(ns[b])
-    return F, X, rows, _gru_run(pv, "enc", X[rows.reshape(-1)],
-                                np.zeros((B, pv["enc_Uz"].shape[0])), gates)
+    return F, X, rows, _gru_run(pv, "enc", X, np.zeros((B, pv["enc_Uz"].shape[0])), gates, rows)
 
 
 def pointer_scores(P: np.ndarray, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,8 +442,19 @@ def pointer_scores(P: np.ndarray, q: np.ndarray, v: np.ndarray) -> tuple[np.ndar
 
     `q` is one query d W2 (shape A) or a stack of them (T x A), giving
     scores of shape (J,) or (T x J).
+
+    For a stack, the queries are repeated J times and P is added to one
+    step's block at a time, which needs no broadcast: a broadcasting add
+    takes a ufunc buffer of up to 64 KB per operand besides the tanh block.
+    Every element is P[j] + q[t] either way, so the tanh is the same bit
+    for bit.
     """
-    act = P + q[..., None, :]
+    if q.ndim == 1:
+        act = P + q
+    else:
+        act = np.repeat(q[:, None, :], P.shape[0], axis=1)
+        for step in act:
+            np.add(step, P, step)
     np.tanh(act, out=act)
     return act @ v, act
 
@@ -430,10 +465,17 @@ POINTER_BLOCK = 1 << 18
 
 
 def pointer_keys(pv: dict[str, np.ndarray], E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E W1 + b_a, e_stop W1 + b_a): the keys of the encoder states E and of stop."""
-    PE = E @ pv["W1"]
-    PE += pv["b_a"]
-    return PE, pv["e_stop"] @ pv["W1"] + pv["b_a"]
+    """(P, keys): the keys E W1 + b_a of the encoder states E (... x H),
+    flattened, then stop's, e_stop W1 + b_a, as one array P; and P's state
+    rows in E's shape. For one sequence's states (n x H), P holds the n + 1
+    slots a decoder step scores."""
+    A = pv["W1"].shape[1]
+    P = np.empty((E.size // E.shape[-1] + 1, A))
+    keys = P[:-1].reshape(E.shape[:-1] + (A,))
+    np.matmul(E, pv["W1"], out=keys)
+    keys += pv["b_a"]
+    P[-1] = pv["e_stop"] @ pv["W1"] + pv["b_a"]
+    return P, keys
 
 
 def task_logits(pv: dict[str, np.ndarray], task_mode: str, d: np.ndarray,
@@ -456,7 +498,9 @@ def pointer_loss(P: np.ndarray, Q: np.ndarray, v: np.ndarray, targets: np.ndarra
     elements. Given `coef`, grads is (dv, dQ, dP), the gradients of coef x
     the summed losses: the loss's gradient is known as soon as a block's
     scores are, so each block's is taken on its tanh while it is still in
-    hand, and nothing is kept or recomputed. Without `coef`, grads is None.
+    hand, and nothing is kept or recomputed. Without `coef`, grads is None,
+    each block's tanh is dropped as soon as its scores are taken, and the
+    losses are taken after the last block (row by row, as in blocks).
     """
     T, J = Q.shape[0], P.shape[0]
     scores, losses = np.empty((T, J)), np.empty(T)
@@ -466,10 +510,11 @@ def pointer_loss(P: np.ndarray, Q: np.ndarray, v: np.ndarray, targets: np.ndarra
     rows = max(1, POINTER_BLOCK // P.size)
     for s in range(0, T, rows):
         blk = slice(s, s + rows)
+        if coef is None:
+            scores[blk] = pointer_scores(P, Q[blk], v)[0]
+            continue
         scores[blk], act = pointer_scores(P, Q[blk], v)
         losses[blk], d = ad.cross_entropy_rows(scores[blk], targets[blk])
-        if coef is None:
-            continue
         # d(pre-activation)[t, j] = g[t, j] v (1 - act[t, j]^2). Its sums
         # over keys (for the queries) and over steps (for the keys) split
         # into g's row and column sums minus two matmuls with act^2.
@@ -481,7 +526,7 @@ def pointer_loss(P: np.ndarray, Q: np.ndarray, v: np.ndarray, targets: np.ndarra
         g_rows[blk] = g.sum(axis=1)
         g_cols += g.sum(axis=0)
     if coef is None:
-        return scores, losses, None
+        return scores, ad.cross_entropy_rows(scores, targets)[0], None
     return scores, losses, (dv, (g_rows[:, None] - gq) * v, (g_cols[:, None] - gk) * v)
 
 
@@ -496,7 +541,7 @@ def _check_group(features: list[Features], steps: list[list[int]],
 
 def forward_teacher(features: list[Features], steps: list[list[int]], p: dict,
                     cfg: BCConfig, labels: list[int | None] | None = None,
-                    weights: list[float] | None = None):
+                    weights: list[float] | None = None, summarize=None):
     """Teacher-forced cloning loss of a lockstep group of trajectories, as one node.
 
     `features[b]`, `steps[b]`, `labels[b]` and `weights[b]` are trajectory
@@ -505,7 +550,9 @@ def forward_teacher(features: list[Features], steps: list[list[int]], p: dict,
     the group of each trajectory's `bc_loss` under cfg's task head and loss
     weights, and per trajectory its (K+1) x (n+1) pointer logits for
     targets steps + stop and its task logits (None without a task head),
-    as plain arrays.
+    as plain arrays; given `summarize`, outputs holds summarize(b, logits,
+    task logits, b's weighted loss) instead, taken before the next
+    trajectory is scored.
 
     Both GRUs step the whole group at once. Each trajectory's states are
     strided slices of the time-major runs. If `p` maps names to Vars, the
@@ -514,7 +561,11 @@ def forward_teacher(features: list[Features], steps: list[list[int]], p: dict,
     the decoder's and the encoder's backpropagation through time from
     them. The backward frees the key and query gradients before those
     runs, so it can run only once. If `p` holds plain arrays, no gradient
-    is taken and the loss is a constant. Features get no gradient.
+    is taken and the loss is a constant; then the forward keeps only the
+    GRU states (see `_gru_run`), forms the keys and queries one
+    trajectory at a time in a group of two or more, and, given
+    `summarize`, holds one trajectory's logits at a time. Either way the
+    results are the same bit for bit. Features get no gradient.
     """
     B = len(features)
     labels = [None] * B if labels is None else labels
@@ -532,10 +583,15 @@ def forward_teacher(features: list[Features], steps: list[list[int]], p: dict,
     for b in range(B):
         dec_rows[1:Ks[b] + 1, b] = enc_rows[steps[b], b]
     E = enc.H[1:]
-    dec = _gru_run(pv, "dec", X[dec_rows.reshape(-1)], E[ns - 1, every], grad)
+    dec = _gru_run(pv, "dec", X, E[ns - 1, every], grad, dec_rows)
+    del X  # the runs have read their rows
+    if not grad:  # from here on, only the GRU states are kept
+        del F, enc_rows, dec_rows
     D = dec.H[1:]
-    PE, p_stop = pointer_keys(pv, E)         # every encoder state's key, and stop's
-    Q = D @ pv["W2"]                         # every decoder state's query
+    if grad or B == 1:  # a group of one holds only its trajectory's keys and queries
+        slots, PE = pointer_keys(pv, E)      # every encoder state's key, and stop's
+        p_stop = slots[-1]
+        Q = D @ pv["W2"]                     # every decoder state's query
     if grad:
         dPE, dQ, d_stop = np.zeros_like(PE), np.zeros_like(Q), np.zeros_like(p_stop)
         dv, dv_loc, G_task = np.zeros_like(pv["v"]), np.zeros_like(pv["v"]), None
@@ -545,8 +601,14 @@ def forward_teacher(features: list[Features], steps: list[list[int]], p: dict,
     for b, (n, K, label, weight) in enumerate(zip(ns, Ks, labels, weights)):
         targets = np.append(steps[b], n)
         coef = weight * (cfg.w_att / (K + 1)) if grad else None
-        logits, ce, g_att = pointer_loss(np.concatenate([PE[:n, b], p_stop[None]]),
-                                         Q[:K + 1, b], pv["v"], targets, coef)
+        if grad or B == 1:
+            keys, queries = PE[:n, b], Q[:K + 1, b]
+            P = np.concatenate([keys, p_stop[None]])
+        else:  # this trajectory's own, rows of products of 2 or more rows, as
+            # the group's are (a 1-token read's state is taken twice)
+            P, keys = pointer_keys(pv, E[:n, b] if n > 1 else E[[0, 0], b])
+            P, keys, queries = P[-n - 1:], keys[-n:], D[:K + 1, b] @ pv["W2"]
+        logits, ce, g_att = pointer_loss(P, queries, pv["v"], targets, coef)
         loss = ce.sum() * (cfg.w_att / (K + 1))
         if grad:
             dv += g_att[0]
@@ -556,7 +618,7 @@ def forward_teacher(features: list[Features], steps: list[list[int]], p: dict,
         with_task = label is not None and cfg.w_aux > 0 and cfg.task_mode in TASK_KINDS
         task_coef = weight * cfg.w_aux if grad and with_task else None
         if with_task and cfg.task_mode == TASK_LOCALIZE:
-            loc, task_ce, g_loc = pointer_loss(PE[:n, b], Q[K:K + 1, b], pv["v_loc"],
+            loc, task_ce, g_loc = pointer_loss(keys, queries[K:], pv["v_loc"],
                                                np.array([label]), task_coef)
             head = loc[0]
             if grad:
@@ -564,15 +626,16 @@ def forward_teacher(features: list[Features], steps: list[list[int]], p: dict,
                 dQ[K, b] += g_loc[1][0]
                 dPE[:n, b] += g_loc[2]
         else:
-            head = task_logits(pv, cfg.task_mode, D[K, b], PE[:n, b])
+            head = task_logits(pv, cfg.task_mode, D[K, b], keys)
             if with_task:
                 task_ce, d = ad.cross_entropy_rows(head[None, :], [label])
                 if grad:
                     G_task[b] = task_coef * d[0]
         if with_task:
             loss = loss + task_ce[0] * cfg.w_aux
-        total = total + loss * weight
-        outputs.append((logits, head))
+        loss = loss * weight
+        total = total + loss
+        outputs.append((logits, head) if summarize is None else summarize(b, logits, head, loss))
     if not grad:
         return Var(total), outputs
 
@@ -636,6 +699,10 @@ def bc_loss(action_logits: Var | list[Var], expert_steps: list[int], task_logits
     return ad.scale(loss, sample_weight)
 
 
+# The most steps `rollout` takes: a list of 2^24 steps, and the line that
+# prints it, fit in memory, where one of sys.maxsize steps does not.
+MAX_ROLLOUT_STEPS = 1 << 24
+
 # Decoder inputs `rollout` remembers while looking for a cycle: a cycle
 # whose period is longer than this is decoded step by step to the end.
 CYCLE_WINDOW = 256
@@ -651,7 +718,7 @@ def rollout(features: Features, p: dict, max_steps: int,
     """Greedy decoding: argmax slot each step, feeding back the chosen token.
 
     `p` maps parameter names to Vars or plain arrays; no tape is built.
-    `max_steps` is at most sys.maxsize, the length of the longest list.
+    `max_steps` is at most MAX_ROLLOUT_STEPS.
 
     A decoder step is a fixed function of its input, the fed-back token and
     the state (a, d). Once an input comes back bit for bit, lambda steps
@@ -696,14 +763,13 @@ def rollout(features: Features, p: dict, max_steps: int,
     slot changes every step never anchors. The result equals decoding and
     scoring every step.
     """
-    if not 1 <= max_steps <= sys.maxsize:
-        raise ValueError(f"max_steps must be between 1 and {sys.maxsize}")
+    if not 1 <= max_steps <= MAX_ROLLOUT_STEPS:
+        raise ValueError(f"max_steps must be between 1 and {MAX_ROLLOUT_STEPS}")
     pv = _arrays(p)
     X = embed([features], pv)[1]
     n, d_hid = X.shape[0] - 1, pv["dec_Uh"].shape[0]
     E = _gru_run(pv, "enc", X[:-1], np.zeros(d_hid), gates=False).H[1:]
-    PE, p_stop = pointer_keys(pv, E)
-    P = np.concatenate([PE, p_stop[None]])
+    P, PE = pointer_keys(pv, E)
     # Row n holds x_start's projection, and slot n is stop: `a` starts at n
     # and the loop ends before a chosen stop could be fed back.
     A_dec = project_inputs(pv, "dec", X)

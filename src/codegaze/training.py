@@ -7,8 +7,10 @@ batch's groups add up to one Adam step. The budget takes a whole batch
 of eight 12-16-line snippets (up to 128 tokens each) as one group, and
 leaves a full read of a long file in a group of its own. Evaluation runs
 the same forward on the checkpoint's arrays, taking no gradient and
-building no tape, so its GRU runs keep only their states, and `predict`
-rolls out on them the same way. Only the
+building no tape, so it keeps only the GRU states, and, taking no Adam
+step, cuts its groups by ROW_BUDGET alone rather than per batch: fewer
+groups, so fewer sequential GRU steps. `predict` rolls out on the
+checkpoint's arrays the same way. Only the
 snippets the trajectories reference are featurized, and the one-hot
 modes keep one token id per token (`features.TokenIds`), so the feature
 cache grows with the tokens, not with tokens x vocabulary.
@@ -27,6 +29,7 @@ copied out of Adam's store, which also holds the moments and scratch.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -50,7 +53,10 @@ FLOAT_ENCODING = "shortest-roundtrip-decimal"
 # forward plus backward (the encoder run's input row, states and gates, its
 # state's gradient, and its BPTT gate gradients): 3.2 MB for a group of
 # eight 73-97-token skims (776 rows), about 4.3 MB for a full group,
-# besides the pointer's tanh block (`policy.POINTER_BLOCK`).
+# besides the pointer's tanh block (`policy.POINTER_BLOCK`). Evaluation's
+# groups are cut by this budget alone, and its states-only forward holds
+# about 0.8 KB per padded row (the encoder's and decoder's states), so
+# about 0.8 MB for a full group, besides one trajectory's tanh block.
 ROW_BUDGET = 1024
 
 
@@ -118,24 +124,26 @@ def lockstep_groups(trajectories: list[Trajectory], feats: dict[str, Features],
 def _run_group(group, feats, cfg, params, train_mode):
     """Forward pass of one lockstep group, and its backward in train mode.
 
-    Returns the group's loss and (targets, hits, task hit or None) per
-    trajectory as plain numbers, so the group's node is freed on return.
+    Returns (targets, hits, task hit or None, weighted loss) per trajectory
+    as plain numbers, each taken as soon as the trajectory is scored, so
+    the group's node is freed on return.
     """
     labels = [policy.task_value(traj.task, cfg.task_mode) for traj in group]
-    loss, outputs = policy.forward_teacher(
-        [feats[t.snippet_id] for t in group], [t.steps for t in group], params, cfg,
-        labels, [t.weight for t in group])
-    if train_mode:
-        ad.backward(loss)
-    stats = []
-    for traj, label, (logits, task_logits) in zip(group, labels, outputs):
-        targets = list(traj.steps) + [logits.shape[1] - 1]
+
+    def tally(b, logits, task_logits, loss):
+        targets = list(group[b].steps) + [logits.shape[1] - 1]
         hits = int(np.count_nonzero(np.argmax(logits, axis=1) == targets))
         task_hit = None
-        if task_logits is not None and label is not None:
-            task_hit = int(np.argmax(task_logits)) == label
-        stats.append((len(targets), hits, task_hit))
-    return float(loss.value), stats
+        if task_logits is not None and labels[b] is not None:
+            task_hit = int(np.argmax(task_logits)) == labels[b]
+        return len(targets), hits, task_hit, float(loss)
+
+    loss, stats = policy.forward_teacher(
+        [feats[t.snippet_id] for t in group], [t.steps for t in group], params, cfg,
+        labels, [t.weight for t in group], tally)
+    if train_mode:
+        ad.backward(loss)
+    return stats
 
 
 def _run_pass(trajectories, feats, cfg, params, train_mode, adam_state=None):
@@ -143,33 +151,33 @@ def _run_pass(trajectories, feats, cfg, params, train_mode, adam_state=None):
 
     Each lockstep group is one forward pass (and, in train mode, one
     backward pass); train mode takes one Adam step per batch of cfg.batch
-    trajectories. `params` holds Vars in train mode and plain arrays
-    otherwise.
+    trajectories, while evaluation cuts its groups by ROW_BUDGET alone.
+    `params` holds Vars in train mode and plain arrays otherwise.
     """
-    total_loss = 0.0
-    total_weight = 0.0
-    hits = 0
-    targets_seen = 0
-    task_hits = 0
-    task_seen = 0
-    for groups in lockstep_groups(trajectories, feats, cfg.batch):
+    stats = []
+    batch = cfg.batch if train_mode else len(trajectories)
+    for groups in lockstep_groups(trajectories, feats, batch):
         if train_mode:
             ad.zero_grads(params)
         for group in groups:
-            loss, stats = _run_group(group, feats, cfg, params, train_mode)
-            total_loss += loss
-            for traj, (n_targets, n_hits, task_hit) in zip(group, stats):
-                total_weight += traj.weight
-                hits += n_hits
-                targets_seen += n_targets
-                if task_hit is not None:
-                    task_seen += 1
-                    task_hits += task_hit
+            stats += _run_group(group, feats, cfg, params, train_mode)
         if train_mode:
             ad.adam_step(params, ad.collect_grads(params), adam_state)
-    task_acc = task_hits / task_seen if task_seen else None
-    return Metrics(action_accuracy=hits / targets_seen,
-                   task_accuracy=task_acc,
+    # The weighted losses are added up within training's groups, then the
+    # groups' sums in order, in both modes, so evaluation's own grouping
+    # leaves mean_loss unchanged to the last bit.
+    total_loss = total_weight = 0.0
+    summed = zip(trajectories, stats)
+    for groups in lockstep_groups(trajectories, feats, cfg.batch):
+        for group in groups:
+            group_loss = 0.0
+            for traj, stat in itertools.islice(summed, len(group)):
+                group_loss += stat[3]
+                total_weight += traj.weight
+            total_loss += group_loss
+    task_hits = [s[2] for s in stats if s[2] is not None]
+    return Metrics(action_accuracy=sum(s[1] for s in stats) / sum(s[0] for s in stats),
+                   task_accuracy=sum(task_hits) / len(task_hits) if task_hits else None,
                    mean_loss=total_loss / total_weight)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import codegaze
-from codegaze import cli, synth, training
+from codegaze import cli, policy, synth, training
 from codegaze.cli import COMMANDS, DEFAULTS, build_parser, main
 from codegaze.lexer import LabelKind
 
@@ -83,25 +83,29 @@ def test_augment_expands(tmp_path):
         assert abs(sum(r["weight"] for r in rows[i:i + 4]) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("sigma", ["1e6", "1e300", "1.7e308"])
-def test_augment_with_a_huge_sigma_runs_in_bounded_memory(tmp_path, sigma):
-    # The candidate table stops at the widest line, so a huge sigma needs no
-    # more memory than a small one. The run is a subprocess under a 1 GiB
-    # address-space limit, so that a table sized by sigma fails there with a
-    # MemoryError instead of taking the host's memory.
-    assert run_cli(*synth_args(tmp_path)) == 0
-    out = tmp_path / "aug.jsonl"
+def run_cli_in_bounded_memory(limit: int, *args: str) -> subprocess.CompletedProcess:
+    """`codegaze *args` in a subprocess under an address-space limit of
+    `limit` bytes, so that a run sized by its input fails there with a
+    MemoryError instead of taking the host's memory."""
     code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
             "from codegaze.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(codegaze.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code, "augment",
-                           "--corpus-dir", str(tmp_path / "corpus"),
-                           "--trajectories", str(tmp_path / "demos.jsonl"), "--out", str(out),
-                           "--m", "3", "--sigma-tokens", sigma],
+    return subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("sigma", ["1e6", "1e300", "1.7e308"])
+def test_augment_with_a_huge_sigma_runs_in_bounded_memory(tmp_path, sigma):
+    # The candidate table stops at the widest line, so a huge sigma needs no
+    # more memory than a small one (1 GiB of address space).
+    assert run_cli(*synth_args(tmp_path)) == 0
+    out = tmp_path / "aug.jsonl"
+    proc = run_cli_in_bounded_memory(1 << 30, "augment", "--corpus-dir", str(tmp_path / "corpus"),
+                                     "--trajectories", str(tmp_path / "demos.jsonl"),
+                                     "--out", str(out), "--m", "3", "--sigma-tokens", sigma)
     assert proc.returncode == 0, proc.stderr
     rows = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(rows) == 12 * 4
@@ -492,16 +496,47 @@ def test_checkpoint_with_a_non_finite_parameter_is_data_error(tmp_path, capsys, 
     assert message in one_error_line(capsys)
 
 
+def cycling_rollout_args(root: Path) -> list[str]:
+    """`rollout` arguments for snippet snip0003 on a 1-epoch checkpoint that
+    never stops there: its rollout settles into a cycle, and the cycle fills
+    the steps up to --max-steps."""
+    assert run_cli(*synth_args(root, seed=3, n_snippets=20, lines_min=3, lines_max=5)) == 0
+    assert train_small(root, root / "demos.jsonl") == 0
+    return ["rollout", "--checkpoint", str(root / "ckpt.json"),
+            "--corpus-dir", str(root / "corpus"), "--snippet", "snip0003"]
+
+
 def test_rollout_with_more_steps_than_a_list_holds_is_usage_error(tmp_path, capsys):
-    # The rollout settles into a cycle; filling max_steps from it raised
-    # OverflowError on the repeat count before max_steps was range-checked.
-    assert run_cli(*synth_args(tmp_path, seed=3, n_snippets=20, lines_min=3, lines_max=5)) == 0
-    assert train_small(tmp_path, tmp_path / "demos.jsonl") == 0
+    # Filling max_steps from the cycle raised OverflowError on the repeat
+    # count before max_steps was range-checked.
+    args = cycling_rollout_args(tmp_path)
     capsys.readouterr()
-    assert run_cli("rollout", "--checkpoint", str(tmp_path / "ckpt.json"),
-                   "--corpus-dir", str(tmp_path / "corpus"), "--snippet", "snip0003",
-                   "--max-steps", "99999999999999999999") == 1
-    assert one_error_line(capsys) == f"error: max_steps must be between 1 and {sys.maxsize}"
+    assert run_cli(*args, "--max-steps", "99999999999999999999") == 1
+    assert one_error_line(capsys) == (
+        f"error: max_steps must be between 1 and {policy.MAX_ROLLOUT_STEPS}")
+
+
+@pytest.mark.parametrize("max_steps", [policy.MAX_ROLLOUT_STEPS + 1, 2_000_000_000])
+def test_rollout_above_the_step_cap_is_usage_error_in_bounded_memory(tmp_path, max_steps):
+    # 2e9 steps passed sys.maxsize and the cycle fill died building the list
+    # with a MemoryError traceback; above the cap no list is built (2 GiB of
+    # address space).
+    proc = run_cli_in_bounded_memory(2 << 30, *cycling_rollout_args(tmp_path),
+                                     "--max-steps", str(max_steps))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: max_steps must be between 1 and {policy.MAX_ROLLOUT_STEPS}"]
+    assert proc.stdout == ""
+
+
+def test_rollout_at_the_step_cap_prints_every_step_in_bounded_memory(tmp_path):
+    # The cap's 2^24 steps, filled from the cycle, and the line that prints
+    # them fit in 2 GiB of address space.
+    proc = run_cli_in_bounded_memory(2 << 30, *cycling_rollout_args(tmp_path),
+                                     "--max-steps", str(policy.MAX_ROLLOUT_STEPS))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["snippet_id"] == "snip0003" and len(out["steps"]) == policy.MAX_ROLLOUT_STEPS
 
 
 def test_parser_is_built_once():

@@ -253,7 +253,7 @@ def test_rollout_max_steps_and_determinism():
     a = policy.rollout(feats, params, max_steps=20)
     b = policy.rollout(feats, params, max_steps=20)
     assert a == b
-    for max_steps in (0, sys.maxsize + 1):
+    for max_steps in (0, policy.MAX_ROLLOUT_STEPS + 1, sys.maxsize + 1):
         with pytest.raises(ValueError, match="max_steps must be between 1 and"):
             policy.rollout(feats, params, max_steps=max_steps)
 
@@ -352,6 +352,57 @@ def test_gru_runs_and_bptt_equal_the_fused_reference(lengths, factor, monkeypatc
     if factor == 8.0:  # sigmoids and tanhs rounded to their limits
         for run in (enc, dec):
             assert ((run.Z == 1.0) | (run.R == 1.0)).any() and (np.abs(run.C) == 1.0).any()
+
+
+@pytest.mark.parametrize("start_shape", [(), (1,), (3,)], ids=["rollout", "B=1", "B=3"])
+@pytest.mark.parametrize("steps", [1, 2, 5, 9])
+def test_states_only_runs_equal_the_fused_reference(start_shape, steps, monkeypatch):
+    # Bit for bit: a run that keeps only its states gathers and projects its
+    # rows four steps at a time here, so 5 and 9 steps end in a block of one
+    # step. For B = 1 that block would be a 1-row product, which rounds
+    # differently from the reference's product of every row; the run folds
+    # it into the block before. Default network sizes, inputs gathered by
+    # index as `encode` and the decoder gather theirs.
+    cfg = BCConfig()
+    B = math.prod(start_shape)
+    monkeypatch.setattr(policy, "FACTOR_BLOCK", 4 * B * cfg.d_hidden)
+    rng = np.random.default_rng(steps)
+    pv = {k: v.value for k, v in scaled_params(20, cfg, 3.0).items()}
+    X = rng.standard_normal((11, cfg.d_emb))
+    rows = rng.integers(0, len(X), size=(steps,) + start_shape)
+    h0 = rng.standard_normal(start_shape + (cfg.d_hidden,))
+    for prefix in ("enc", "dec"):
+        run = policy._gru_run(pv, prefix, X, h0, gates=False, rows=rows)
+        assert run.X is None and run.Z is None
+        ref = oracle.gru_run(pv, prefix, X[rows.reshape(-1)], h0, cell=oracle.fused_gru_step)[0]
+        assert np.array_equal(run.H, ref)
+
+
+@pytest.mark.parametrize("task_mode", ["none", "classify", "localize"])
+@pytest.mark.parametrize("ns", [[5, 1, 9], [1, 2], [1], [7]], ids=str)
+def test_forward_without_a_gradient_equals_the_forward_with_one(task_mode, ns, monkeypatch):
+    # Bit for bit, at the default network sizes: logits, task logits and
+    # the loss. Without a gradient the runs project their rows two steps
+    # at a time here, and in a group of two or more each read's keys and
+    # queries are its own products; a 1-token read's key is taken from a
+    # product of 2 rows, as in the group's, not from a 1-row gemv. A group
+    # of one (gemv on every row, with or without a gradient) is checked too.
+    cfg = head_config(task_mode, w_aux=0.0 if task_mode == "none" else 1.5)
+    B = len(ns)
+    monkeypatch.setattr(policy, "FACTOR_BLOCK", 2 * B * cfg.d_hidden)
+    rng = np.random.default_rng(sum(ns))
+    features = [rng.standard_normal((n, 5)) for n in ns]
+    steps = [list(rng.integers(0, n, size=n + 2)) for n in ns]
+    labels = [int(rng.integers(0, 3 if task_mode == "classify" else n)) for n in ns]
+    weights = [0.5, 2.0, 1.25][:B]
+    params = scaled_params(5, cfg, 3.0)
+    with_grad = policy.forward_teacher(features, steps, params, cfg, labels, weights)
+    arrays = {k: v.value for k, v in params.items()}
+    without = policy.forward_teacher(features, steps, arrays, cfg, labels, weights)
+    assert with_grad[0].value == without[0].value
+    for (logits, head), (logits_ng, head_ng) in zip(with_grad[1], without[1]):
+        assert np.array_equal(logits, logits_ng)
+        assert (head is None and head_ng is None) or np.array_equal(head, head_ng)
 
 
 def pointer_problem(task_mode):

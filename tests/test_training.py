@@ -2,7 +2,7 @@ import hashlib
 import io
 import json
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -277,10 +277,14 @@ def test_saving_holds_less_than_the_checkpoint(tmp_path, ingest_infer):
 
 
 def test_evaluation_keeps_only_the_gru_states(ingest_infer):
-    # Evaluation takes no gradient, so each GRU run of its forward keeps its
-    # states only, not its gathered inputs and gates: the peak of the 47
-    # held-out reads, in groups of 8, is 1.31 MB (2.02 MB when the runs
-    # kept what a backward reads).
+    # Evaluation takes no gradient, so its forward keeps only the GRU
+    # states: not the runs' gathered inputs, gate inputs or gates, nor the
+    # group's keys and queries, nor more than one read's logits. The 47
+    # held-out reads run in two groups cut by the row budget alone (32 reads
+    # of 1,024 padded rows, then 15), and the peak is 1.44 MB: the big
+    # group's states (0.8 MB) and one 32-step read's tanh block (0.52 MB).
+    # In groups of 8 it was 1.31 MB, and 2.02 MB when the runs kept what a
+    # backward reads.
     ckpt, held, snippets = ingest_infer
     assert len(held) == 47
     tracemalloc.start()
@@ -354,6 +358,102 @@ def test_a_full_read_of_a_long_snippet_is_a_group_alone():
     batch = demos[:3] + [full] + demos[3:6]
     feats = {sid: np.zeros((len(sn.tokens), 1)) for sid, sn in snippets.items()}
     assert training.lockstep_groups(batch, feats, 8) == [[demos[:3], [full], demos[3:6]]]
+
+
+def mixed_reads(task_mode):
+    """Snippets and reads of every size evaluation groups: linear reads of
+    3-5-line snippets, skims of 12-16-line ones, the 721-step full read of a
+    120-line snippet and the read of a 1-token snippet, with weights other
+    than 1 and labels for the head (bugs for localize, classes otherwise);
+    and a checkpoint trained for one epoch on the short reads."""
+    from codegaze.lexer import tokenize
+    bugs = 1.0 if task_mode == "localize" else 0.0
+    snippets = {}
+    for name, lines, n in (("short", 3, 5), ("skim", 12, 16), ("full", 120, 120)):
+        gen = synth.GeneratorConfig(seed=3, n_snippets=8, n_classes=3, lines_min=lines,
+                                    lines_max=n, bug_rate=bugs)
+        for i in range(gen.n_snippets if name != "full" else 1):
+            snippets[f"{name}{i}"] = replace(synth.gen_snippet(gen, i), id=f"{name}{i}")
+    one = tokenize("x", snippet_id="one")
+    one.task = TaskLabel(LabelKind.BUG if bugs else LabelKind.CLASS, 0)
+    snippets["one"] = one
+    keywords = synth.GeneratorConfig().keyword_set()
+    reads = {sid: (synth.keyword_skimmer(sn, keywords) if sid.startswith("skim")
+                   else synth.linear_reader(sn)) for sid, sn in snippets.items()}
+    order = ["short0", "short1", "skim0", "short2", "full0", "one", "short3", "skim1", "skim2",
+             "short4", "skim3", "short5", "one", "skim4", "short6", "short7", "skim5"]
+    held = [replace(reads[sid], weight=(0.5, 1.0, 2.5)[i % 3]) for i, sid in enumerate(order)]
+    assert len(held[4].steps) == 721
+    cfg = BCConfig(epochs=1, task_mode=task_mode, n_classes=3,
+                   w_aux=0.0 if task_mode == "none" else 1.0)
+    train = [reads[f"short{i}"] for i in range(8)]
+    return training.train(train, snippets, cfg, FeatureSpec(mode="onehot_pos")), held, snippets
+
+
+@pytest.mark.parametrize("task_mode", ["none", "classify", "localize"])
+def test_evaluation_does_not_depend_on_the_row_budget(task_mode, monkeypatch):
+    # Evaluation groups by the row budget alone. At the default budget the
+    # short reads, skims and 1-token reads share groups and the full read
+    # is a group alone; at 40 rows nearly every read is. Every key, query
+    # and projection block is formed per trajectory or has at least 2 rows,
+    # so the logits differ only where a group of one steps its GRUs with a
+    # 1-row product (gemv) instead of a gemm: the accuracies are equal. The
+    # mean loss agrees to 1e-12 relative, not exactly: besides those
+    # groups, the budget also moves the training groups its losses are
+    # added up in, and its last bit moves (here for none and classify).
+    ckpt, held, snippets = mixed_reads(task_mode)
+    groups = []
+    forward = policy.forward_teacher
+    monkeypatch.setattr(policy, "forward_teacher",
+                        lambda features, *args: groups.append(len(features))
+                        or forward(features, *args))
+    default = training.evaluate(ckpt, held, snippets)
+    wide, groups[:] = list(groups), []
+    monkeypatch.setattr(training, "ROW_BUDGET", 40)
+    narrow = training.evaluate(ckpt, held, snippets)
+    assert sum(wide) == sum(groups) == len(held)
+    assert len(wide) < len(groups) and 1 in wide and max(wide) > 2
+    assert narrow.action_accuracy == default.action_accuracy
+    assert narrow.task_accuracy == default.task_accuracy
+    assert (default.task_accuracy is None) == (task_mode == "none")
+    assert narrow.mean_loss == pytest.approx(default.mean_loss, rel=1e-12)
+
+
+def test_evaluation_groups_by_the_row_budget_alone(monkeypatch):
+    # Training cuts its groups at every batch of cfg.batch trajectories (one
+    # Adam step each); evaluation takes no step, so only the row budget cuts.
+    snippets, demos = tiny_dataset(n=20)
+    groups = []
+    forward = policy.forward_teacher
+    monkeypatch.setattr(policy, "forward_teacher",
+                        lambda features, *args: groups.append(len(features))
+                        or forward(features, *args))
+    ckpt = training.train(demos, snippets, BCConfig(epochs=1, batch=4, **TINY_NET))
+    assert groups == [4] * 5
+    groups.clear()
+    training.evaluate(ckpt, demos, snippets)
+    assert groups == [20]
+    groups.clear()
+    monkeypatch.setattr(training, "ROW_BUDGET", 40)
+    training.evaluate(ckpt, demos, snippets)
+    feats = training._feature_cache([t.snippet_id for t in demos], snippets,
+                                    ckpt.feature_spec, ckpt.vocab)
+    assert groups == [len(g) for g in training.lockstep_groups(demos, feats, len(demos))[0]]
+    assert len(groups) > 5
+
+
+def test_evaluation_adds_its_losses_up_in_training_groups(monkeypatch):
+    # Cutting evaluation's forward passes as training cuts its groups gives
+    # the same Metrics to the bit: the weighted losses are added up in
+    # training's groups whatever evaluation's own are. (Added up in
+    # evaluation's one group instead, this mean loss moves by 1 ulp.)
+    snippets, demos = tiny_dataset(n=16)
+    demos = [replace(t, weight=(0.3, 1.0, 2.7)[i % 3]) for i, t in enumerate(demos)]
+    ckpt = training.train(demos, snippets, BCConfig(epochs=1, batch=4, **TINY_NET))
+    wide = training.evaluate(ckpt, demos, snippets)
+    cut = training.lockstep_groups
+    monkeypatch.setattr(training, "lockstep_groups", lambda trajs, feats, batch: cut(trajs, feats, 4))
+    assert training.evaluate(ckpt, demos, snippets) == wide
 
 
 def test_one_adam_step_per_batch(monkeypatch):
