@@ -52,6 +52,12 @@ class FeatureSpec:
     buckets: int = 64
     path: str = ""
 
+    def __post_init__(self):
+        if self.ngram_n < 1:
+            raise ValueError(f"ngram_n must be at least 1, not {self.ngram_n}")
+        if self.buckets < 1:
+            raise ValueError(f"buckets must be at least 1, not {self.buckets}")
+
     def dim(self, vocab: Vocab, table: dict[str, np.ndarray] | None = None) -> int:
         if self.mode == "onehot":
             return len(vocab)
@@ -150,13 +156,19 @@ def featurize(snippet: Snippet, spec: FeatureSpec, vocab: Vocab,
         table = load_embedding_table(spec.path)
     dim = spec.dim(vocab, table)
     if spec.mode in ("onehot", "onehot_pos"):
-        ids = np.array([vocab.lookup(tok.text) for tok in snippet.tokens], dtype=np.intp)
+        tokens = snippet.tokens
+        ids = np.fromiter(map(vocab.ids.get, (tok.text for tok in tokens), repeat(UNK_ID)),
+                          dtype=np.intp, count=len(tokens))
         if spec.mode == "onehot":
             return TokenIds(ids, np.zeros((len(ids), 0)), dim)
-        n_lines = max(snippet.n_lines, 1)
-        max_cols = max((tok.col_end for tok in snippet.tokens), default=1)
-        pos = [(tok.line / n_lines, tok.col_start / max_cols) for tok in snippet.tokens]
-        return TokenIds(ids, np.array(pos, dtype=np.float64).reshape(-1, 2), dim)
+        # Each position is one IEEE division of two exact integers, so the
+        # same bits as Python's int / int.
+        pos = np.empty((len(tokens), 2))
+        pos[:, 0] = np.fromiter((tok.line for tok in tokens), np.float64, len(tokens))
+        pos[:, 1] = np.fromiter((tok.col_start for tok in tokens), np.float64, len(tokens))
+        pos[:, 0] /= max(snippet.n_lines, 1)
+        pos[:, 1] /= max((tok.col_end for tok in tokens), default=1)
+        return TokenIds(ids, pos, dim)
     out = np.zeros((len(snippet.tokens), dim))
     if spec.mode == "char_ngram":
         for i, tok in enumerate(snippet.tokens):

@@ -228,14 +228,19 @@ def gru_step(cell: GRUCell, prefix: str, x_zr: np.ndarray, x_h: np.ndarray, h: n
     np.add(h, tmp, h_out)
 
 
-def _input_weights(p: dict[str, np.ndarray], prefix: str) -> np.ndarray:
-    return np.concatenate([p[f"{prefix}_W{g}"] for g in "zrh"], axis=1)
+def _input_weights(p: dict[str, np.ndarray], prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    """[Wz|Wr|Wh] and [bz|br|bh]: the GRU's input weights and biases side by side."""
+    return (np.concatenate([p[f"{prefix}_W{g}"] for g in "zrh"], axis=1),
+            np.concatenate([p[f"{prefix}_b{g}"] for g in "zrh"]))
 
 
-def project_inputs(p: dict[str, np.ndarray], prefix: str, X: np.ndarray) -> np.ndarray:
-    """Every row's gate inputs at once: X [Wz|Wr|Wh] + [bz|br|bh]."""
-    A = X @ _input_weights(p, prefix)
-    A += np.concatenate([p[f"{prefix}_b{g}"] for g in "zrh"])
+def project_inputs(p: dict[str, np.ndarray], prefix: str, X: np.ndarray,
+                   weights: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Every row's gate inputs at once: X [Wz|Wr|Wh] + [bz|br|bh], with the
+    pair `_input_weights` gives as `weights` or, without, formed here."""
+    W, b = _input_weights(p, prefix) if weights is None else weights
+    A = X @ W
+    A += b
     return A
 
 
@@ -266,7 +271,8 @@ def _gru_run(p: dict[str, np.ndarray], prefix: str, X: np.ndarray, h0: np.ndarra
     has read, so the gate inputs' array ends as the gates'. Without, the
     run keeps only its states: it gathers and projects its rows a block of
     FACTOR_BLOCK // (B H) steps at a time, as `_gru_backward` forms its
-    factors, so it never holds the whole run's rows or gate inputs. A
+    factors, through input weights joined once per run, so it never holds
+    the whole run's rows or gate inputs. A
     1-row product goes through gemv, which rounds differently from gemm,
     so a block never has 1 row unless the whole run has; the states are
     then those of projecting every row at once, bit for bit.
@@ -290,8 +296,9 @@ def _gru_run(p: dict[str, np.ndarray], prefix: str, X: np.ndarray, h0: np.ndarra
     starts = list(range(0, T, steps))
     if B == 1 and len(starts) > 1 and T - starts[-1] == 1:
         starts.pop()  # the last block takes the last step too
+    weights = _input_weights(p, prefix)
     for start, stop in zip(starts, starts[1:] + [T]):
-        A = project_inputs(p, prefix, X[rows[start * B:stop * B]])
+        A = project_inputs(p, prefix, X[rows[start * B:stop * B]], weights)
         A = A.reshape((stop - start,) + h0.shape[:-1] + (3 * d_hid,))
         for x_zr, x_h, h, h_out in zip(A[..., :2 * d_hid], A[..., 2 * d_hid:],
                                        Hs[start:], Hs[start + 1:stop + 1]):
@@ -366,7 +373,7 @@ def _gru_backward(p: dict[str, np.ndarray], prefix: str, run: GRURun, G: np.ndar
         cols = slice(k * d_hid, (k + 1) * d_hid)
         grads[f"{prefix}_W{g}"] = dW[:, cols]
         grads[f"{prefix}_b{g}"] = db[cols]
-    return grads, dA @ _input_weights(p, prefix).T, dh
+    return grads, dA @ _input_weights(p, prefix)[0].T, dh
 
 
 class EmptySequenceError(DataError):

@@ -8,9 +8,13 @@ of eight 12-16-line snippets (up to 128 tokens each) as one group, and
 leaves a full read of a long file in a group of its own. Evaluation runs
 the same forward on the checkpoint's arrays, taking no gradient and
 building no tape, so it keeps only the GRU states, and, taking no Adam
-step, cuts its groups by ROW_BUDGET alone rather than per batch: fewer
-groups, so fewer sequential GRU steps. `predict` rolls out on the
-checkpoint's arrays the same way. Only the
+step, cuts its groups by those states alone rather than per batch: a
+group's state rows, (max n + max (K+1)) x its size, stay within
+2 x ROW_BUDGET, as many as a group within the padded bound can keep. So
+there are fewer groups, and fewer sequential GRU steps: a ~3-step skim of
+a 12-16-line snippet pads to 97 rows, so 10 fill the padded budget, but
+keeps 97 + 3 rows of states, so 16 of them (1,600 rows) run as one group.
+`predict` rolls out on the checkpoint's arrays the same way. Only the
 snippets the trajectories reference are featurized, and the one-hot
 modes keep one token id per token (`features.TokenIds`), so the feature
 cache grows with the tokens, not with tokens x vocabulary.
@@ -54,9 +58,12 @@ FLOAT_ENCODING = "shortest-roundtrip-decimal"
 # state's gradient, and its BPTT gate gradients): 3.2 MB for a group of
 # eight 73-97-token skims (776 rows), about 4.3 MB for a full group,
 # besides the pointer's tanh block (`policy.POINTER_BLOCK`). Evaluation's
-# groups are cut by this budget alone, and its states-only forward holds
-# about 0.8 KB per padded row (the encoder's and decoder's states), so
-# about 0.8 MB for a full group, besides one trajectory's tanh block.
+# states-only forward holds a group's state rows instead, (max n +
+# max (K+1)) x group size, 384 bytes each (an encoder or decoder state),
+# and cuts its groups at 2 x this budget of them, the most that a group
+# within the padded bound holds: about 0.8 MB for a full group, besides one
+# trajectory's tanh block. That takes 16 held-out skims like those above
+# (1,600 state rows) as one group, where padded rows would cut 10 and 6.
 ROW_BUDGET = 1024
 
 
@@ -101,21 +108,29 @@ def _feature_cache(ids, snippets: dict[str, Snippet], spec: FeatureSpec, vocab: 
 
 
 def lockstep_groups(trajectories: list[Trajectory], feats: dict[str, Features],
-                    batch: int) -> list[list[list[Trajectory]]]:
+                    batch: int, states_only: bool = False) -> list[list[list[Trajectory]]]:
     """Each batch of `batch` trajectories, cut in order into lockstep groups.
 
-    A group takes consecutive trajectories while max(n, K+1) x its size
-    stays within ROW_BUDGET; a longer trajectory forms a group alone.
+    A group takes consecutive trajectories while its padded rows,
+    max(n, K+1) x its size, stay within ROW_BUDGET: the rows of a forward
+    and backward. With `states_only`, for a forward that keeps only the GRU
+    states (evaluation's), it takes them while its state rows, the steps of
+    its two GRU runs times its size, (max n + max (K+1)) x size, stay within
+    2 x ROW_BUDGET: the most state rows a group within the padded bound can
+    hold, so the states kept are bounded as before. A trajectory over the
+    budget forms a group alone.
     """
+    budget = 2 * ROW_BUDGET if states_only else ROW_BUDGET
     batches = []
     for start in range(0, len(trajectories), batch):
-        groups, longest = [[]], 0
+        groups, max_n, max_k = [[]], 0, 0
         for traj in trajectories[start:start + batch]:
-            rows = max(feats[traj.snippet_id].shape[0], len(traj.steps) + 1)
-            longest = max(longest, rows)
-            if groups[-1] and longest * (len(groups[-1]) + 1) > ROW_BUDGET:
+            n, k = feats[traj.snippet_id].shape[0], len(traj.steps) + 1
+            max_n, max_k = max(max_n, n), max(max_k, k)
+            rows = max_n + max_k if states_only else max(max_n, max_k)
+            if groups[-1] and rows * (len(groups[-1]) + 1) > budget:
                 groups.append([])
-                longest = rows
+                max_n, max_k = n, k
             groups[-1].append(traj)
         batches.append(groups)
     return batches
@@ -151,12 +166,13 @@ def _run_pass(trajectories, feats, cfg, params, train_mode, adam_state=None):
 
     Each lockstep group is one forward pass (and, in train mode, one
     backward pass); train mode takes one Adam step per batch of cfg.batch
-    trajectories, while evaluation cuts its groups by ROW_BUDGET alone.
+    trajectories and cuts each by padded rows, while evaluation cuts the
+    whole list by the state rows its forward keeps (`lockstep_groups`).
     `params` holds Vars in train mode and plain arrays otherwise.
     """
     stats = []
     batch = cfg.batch if train_mode else len(trajectories)
-    for groups in lockstep_groups(trajectories, feats, batch):
+    for groups in lockstep_groups(trajectories, feats, batch, not train_mode):
         if train_mode:
             ad.zero_grads(params)
         for group in groups:

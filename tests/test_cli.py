@@ -371,6 +371,31 @@ def test_checkpoint_with_mistyped_value_is_data_error(tmp_path, capsys, section,
     assert message in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("flag,key,value", [
+    ("--ngram-buckets", "buckets", 0), ("--ngram-buckets", "buckets", -4),
+    ("--ngram-n", "ngram_n", 0), ("--ngram-n", "ngram_n", -2)])
+def test_ngram_settings_below_one_are_usage_or_data_errors(tmp_path, capsys, flag, key, value):
+    # As a flag, a usage error (exit 1); in a checkpoint's feature_spec, a
+    # data error (exit 2).
+    assert run_cli(*synth_args(tmp_path)) == 0
+    capsys.readouterr()
+    message = f"{key} must be at least 1, not {value}"
+    assert train_small(tmp_path, tmp_path / "demos.jsonl", "--feature-mode", "char_ngram",
+                       flag, str(value)) == 1
+    assert message in one_error_line(capsys)
+    assert train_small(tmp_path, tmp_path / "demos.jsonl", "--feature-mode", "char_ngram") == 0
+    ckpt = tmp_path / "ckpt.json"
+    obj = json.loads(ckpt.read_text())
+    obj["feature_spec"][key] = value
+    ckpt.write_text(json.dumps(obj))
+    with pytest.raises(training.CheckpointError, match=f"invalid feature_spec: {message}"):
+        training.load_checkpoint(ckpt)
+    capsys.readouterr()
+    assert run_cli("rollout", "--checkpoint", str(ckpt),
+                   "--corpus-dir", str(tmp_path / "corpus"), "--snippet", "snip0003") == 2
+    assert message in one_error_line(capsys)
+
+
 def test_ingest_lexes_with_the_layouts_tab_width(tmp_path):
     # With tab width 8, "b" spans columns 8-9 (x 92-101 px); lexed with the
     # --tab-width default of 4 it would sit at x 56-65, out of reach of x=96.5.

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codegaze.features import (UNK_ID, EmbeddingTableError, FeatureSpec, TokenIds,
                                build_vocab, featurize, fnv1a64, load_embedding_table, stack)
@@ -62,6 +64,38 @@ def test_empty_snippet_has_no_rows():
     vocab = build_vocab(make_snippets("a"), 1)
     for mode in ("onehot", "onehot_pos", "char_ngram"):
         assert featurize(make_snippets("")[0], FeatureSpec(mode=mode), vocab).shape[0] == 0
+
+
+def per_token_ids_and_pos(snippet, vocab):
+    """The one-hot_pos features a token at a time, as Python floats."""
+    n_lines = max(snippet.n_lines, 1)
+    max_cols = max((tok.col_end for tok in snippet.tokens), default=1)
+    ids = np.array([vocab.lookup(tok.text) for tok in snippet.tokens], dtype=np.intp)
+    pos = [(tok.line / n_lines, tok.col_start / max_cols) for tok in snippet.tokens]
+    return ids, np.array(pos, dtype=np.float64).reshape(-1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=st.text(alphabet="ab x=(\n\t#", max_size=80),
+       known=st.text(alphabet="ab x=(\n", max_size=20))
+@example(source="", known="a")             # no tokens
+@example(source="a b (x", known="a b")     # one line, unknown tokens
+@example(source="a\n\n  b\n", known="")  # every token unknown
+def test_featurize_equals_the_per_token_loop(source, known):
+    snippet, vocab = tokenize(source, snippet_id="s"), build_vocab(make_snippets(known))
+    ids, pos = per_token_ids_and_pos(snippet, vocab)
+    for mode in ("onehot", "onehot_pos"):
+        rows = featurize(snippet, FeatureSpec(mode=mode), vocab)
+        assert rows.ids.dtype == ids.dtype and rows.ids.tobytes() == ids.tobytes()
+        if mode == "onehot_pos":
+            assert rows.pos.shape == pos.shape and rows.pos.tobytes() == pos.tobytes()
+
+
+@pytest.mark.parametrize("field,value", [("ngram_n", 0), ("ngram_n", -2), ("buckets", 0),
+                                         ("buckets", -4)])
+def test_ngram_settings_below_one_are_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least 1, not {value}"):
+        FeatureSpec(mode="char_ngram", **{field: value})
 
 
 def test_stack_joins_rows_in_order():

@@ -280,9 +280,10 @@ def test_evaluation_keeps_only_the_gru_states(ingest_infer):
     # Evaluation takes no gradient, so its forward keeps only the GRU
     # states: not the runs' gathered inputs, gate inputs or gates, nor the
     # group's keys and queries, nor more than one read's logits. The 47
-    # held-out reads run in two groups cut by the row budget alone (32 reads
-    # of 1,024 padded rows, then 15), and the peak is 1.44 MB: the big
-    # group's states (0.8 MB) and one 32-step read's tanh block (0.52 MB).
+    # held-out reads run in two groups cut by the state rows they keep (32
+    # reads of 63 state rows each, 2,016, then 15), and the peak is 1.45 MB:
+    # the big group's states (0.8 MB) and one 32-step read's tanh block
+    # (0.52 MB).
     # In groups of 8 it was 1.31 MB, and 2.02 MB when the runs kept what a
     # backward reads.
     ckpt, held, snippets = ingest_infer
@@ -293,6 +294,71 @@ def test_evaluation_keeps_only_the_gru_states(ingest_infer):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 1.6e6
+
+
+def benchmark_corpus(n_snippets, lines, expert):
+    """A benchmark workload's corpus at seed 41, its expert's reads of the
+    training and held-out splits, and the one-hot_pos features of every
+    snippet."""
+    gen = synth.GeneratorConfig(seed=41, n_snippets=n_snippets, n_classes=3,
+                                lines_min=lines[0], lines_max=lines[1])
+    snippets = {synth.snippet_id(i): synth.gen_snippet(gen, i) for i in range(n_snippets)}
+    keywords = gen.keyword_set()
+    read = (synth.linear_reader if expert == "linear"
+            else lambda sn: synth.keyword_skimmer(sn, keywords))
+    train_ids, held_ids = training.split_by_id(sorted(snippets))
+    feats = training._feature_cache(sorted(snippets), snippets, FeatureSpec(mode="onehot_pos"),
+                                    build_vocab(list(snippets.values())))
+    return (snippets, [read(snippets[sid]) for sid in train_ids],
+            [read(snippets[sid]) for sid in held_ids], feats)
+
+
+@pytest.mark.parametrize("n_snippets,lines,expert,padded,states", [
+    (100, (12, 16), "skimmer", [10, 6], [16]),   # train-skim-long: (97 + 3) x 16 = 1,600
+    (200, (3, 5), "linear", [24], [24]),         # train-linear
+    (300, (3, 5), "linear", [32, 15], [32, 15]),  # ingest-infer: 63 x 32 = 2,016
+])
+def test_benchmark_held_splits_group_by_their_state_rows(n_snippets, lines, expert, padded,
+                                                         states):
+    # A ~3-step skim of a 73-97-token snippet pads to 97 rows, but keeps only
+    # n + K + 1 rows of states, so evaluation's cut takes all 16 held skims.
+    _, _, held, feats = benchmark_corpus(n_snippets, lines, expert)
+    assert [len(g) for g in training.lockstep_groups(held, feats, len(held))[0]] == padded
+    assert [len(g) for g in training.lockstep_groups(held, feats, len(held), True)[0]] == states
+
+
+@pytest.fixture(scope="module")
+def skim_long():
+    """The benchmark's train-skim-long set-up at seed 41: a checkpoint
+    trained for one epoch at the default network sizes on the keyword skims
+    of the training split of 100 12-16-line snippets, the held-out split's
+    skims, and the snippets."""
+    snippets, train, held, _ = benchmark_corpus(100, (12, 16), "skimmer")
+    ckpt = training.train(train, {t.snippet_id: snippets[t.snippet_id] for t in train},
+                          BCConfig(epochs=1), FeatureSpec(mode="onehot_pos"))
+    return ckpt, held, snippets
+
+
+def test_evaluation_of_long_skims_keeps_about_as_much_as_under_the_padded_cut(
+        skim_long, monkeypatch):
+    # The 16 held-out skims run as one group of 1,600 state rows (two groups,
+    # 10 and 6, under the padded-row cut). The peak is 1.42 MB, against
+    # 1.00 MB in those two groups: within the bound the short reads' peak
+    # keeps (`test_evaluation_keeps_only_the_gru_states`).
+    ckpt, held, snippets = skim_long
+    groups = []
+    forward = policy.forward_teacher
+    monkeypatch.setattr(policy, "forward_teacher",
+                        lambda features, *args: groups.append(len(features))
+                        or forward(features, *args))
+    tracemalloc.start()
+    try:
+        training.evaluate(ckpt, held, snippets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert groups == [16]
     assert peak < 1.6e6
 
 
@@ -318,19 +384,27 @@ def test_localize_training_on_tiny_corpus():
     assert m.task_accuracy >= 0.5  # BUGTOK is lexically distinct, learns fast
 
 
-def test_lockstep_groups_keep_order_and_row_budget(monkeypatch):
+@pytest.mark.parametrize("states_only", [False, True])
+def test_lockstep_groups_keep_order_and_row_budget(monkeypatch, states_only):
+    # Padded rows, max(n, K+1) x size, within the budget; or, for a
+    # states-only forward, state rows, (max n + max (K+1)) x size, within
+    # twice the budget.
     from dataclasses import replace
     snippets, demos = tiny_dataset(n=30)
     feats = {sid: np.zeros((len(sn.tokens), 1)) for sid, sn in snippets.items()}
-    demos[3] = replace(demos[3], steps=demos[3].steps * 4)  # longer than the budget
+    demos[3] = replace(demos[3], steps=demos[3].steps * 8)  # longer than either budget
     monkeypatch.setattr(training, "ROW_BUDGET", 40)
-    batches = training.lockstep_groups(demos, feats, 8)
+    batches = training.lockstep_groups(demos, feats, 8, states_only)
     assert len(batches) == 4
     for i, groups in enumerate(batches):
         assert [t for g in groups for t in g] == demos[8 * i:8 * (i + 1)]
         for g in groups:
-            rows = max(max(feats[t.snippet_id].shape[0], len(t.steps) + 1) for t in g)
-            assert rows * len(g) <= 40 or g == [demos[3]]
+            ns = [feats[t.snippet_id].shape[0] for t in g]
+            ks = [len(t.steps) + 1 for t in g]
+            if states_only:
+                assert (max(ns) + max(ks)) * len(g) <= 80 or g == [demos[3]]
+            else:
+                assert max(ns + ks) * len(g) <= 40 or g == [demos[3]]
     sizes = [len(g) for groups in batches for g in groups]
     assert max(sizes) > 1 and len(sizes) > len(batches)  # the budget cut some batches
     assert [demos[3]] in batches[0]
@@ -392,7 +466,7 @@ def mixed_reads(task_mode):
 
 @pytest.mark.parametrize("task_mode", ["none", "classify", "localize"])
 def test_evaluation_does_not_depend_on_the_row_budget(task_mode, monkeypatch):
-    # Evaluation groups by the row budget alone. At the default budget the
+    # Evaluation groups by its state-row budget alone. At the default budget the
     # short reads, skims and 1-token reads share groups and the full read
     # is a group alone; at 40 rows nearly every read is. Every key, query
     # and projection block is formed per trajectory or has at least 2 rows,
@@ -419,9 +493,32 @@ def test_evaluation_does_not_depend_on_the_row_budget(task_mode, monkeypatch):
     assert narrow.mean_loss == pytest.approx(default.mean_loss, rel=1e-12)
 
 
+@pytest.mark.parametrize("task_mode", ["none", "classify", "localize"])
+def test_state_row_cut_scores_as_the_padded_row_cut(task_mode, monkeypatch):
+    # On these reads the two cuts leave the same read alone (the full read)
+    # and put every other in a group of two or more, so no read moves
+    # between a gemv and a gemm (see `test_evaluation_does_not_depend_on_the_row_budget`):
+    # the Metrics are equal to the bit.
+    ckpt, held, snippets = mixed_reads(task_mode)
+    groups = []
+    forward = policy.forward_teacher
+    monkeypatch.setattr(policy, "forward_teacher",
+                        lambda features, *args: groups.append(len(features))
+                        or forward(features, *args))
+    by_states = training.evaluate(ckpt, held, snippets)
+    states_groups, groups[:] = list(groups), []
+    cut = training.lockstep_groups
+    monkeypatch.setattr(training, "lockstep_groups",
+                        lambda trajs, feats, batch, states_only=False: cut(trajs, feats, batch))
+    by_padding = training.evaluate(ckpt, held, snippets)
+    assert states_groups == [4, 1, 12] and groups == [4, 1, 10, 2]
+    assert by_states == by_padding
+
+
 def test_evaluation_groups_by_the_row_budget_alone(monkeypatch):
     # Training cuts its groups at every batch of cfg.batch trajectories (one
-    # Adam step each); evaluation takes no step, so only the row budget cuts.
+    # Adam step each); evaluation takes no step, so only the row budget cuts,
+    # by the state rows its forward keeps rather than the padded rows.
     snippets, demos = tiny_dataset(n=20)
     groups = []
     forward = policy.forward_teacher
@@ -438,7 +535,8 @@ def test_evaluation_groups_by_the_row_budget_alone(monkeypatch):
     training.evaluate(ckpt, demos, snippets)
     feats = training._feature_cache([t.snippet_id for t in demos], snippets,
                                     ckpt.feature_spec, ckpt.vocab)
-    assert groups == [len(g) for g in training.lockstep_groups(demos, feats, len(demos))[0]]
+    assert groups == [len(g) for g in training.lockstep_groups(demos, feats, len(demos),
+                                                               states_only=True)[0]]
     assert len(groups) > 5
 
 
@@ -452,7 +550,8 @@ def test_evaluation_adds_its_losses_up_in_training_groups(monkeypatch):
     ckpt = training.train(demos, snippets, BCConfig(epochs=1, batch=4, **TINY_NET))
     wide = training.evaluate(ckpt, demos, snippets)
     cut = training.lockstep_groups
-    monkeypatch.setattr(training, "lockstep_groups", lambda trajs, feats, batch: cut(trajs, feats, 4))
+    monkeypatch.setattr(training, "lockstep_groups",
+                        lambda trajs, feats, *cut_by: cut(trajs, feats, 4))
     assert training.evaluate(ckpt, demos, snippets) == wide
 
 
